@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .envelope import Envelope, EnvelopeElement
+from .scalars import add_term
 
 
 class StabilizationError(RuntimeError):
@@ -80,8 +81,8 @@ class CoverData:
             if poset.leq(z, upper) and not poset.leq(z, lower)
         )
         for z in src.inv_vars:
-            if poset.leq(z, upper):
-                assert (z in zs) == poset.leq(self.removed, z)
+            if poset.leq(z, upper) and (z in zs) != poset.leq(self.removed, z):
+                raise ValueError(f"{z!r} breaks the boolean interval below {upper!r}")
         self.Z = zs
         zset = set(zs)
         self.z_src = tuple(src._ipos[z] for z in zs)
@@ -91,8 +92,10 @@ class CoverData:
         )
         self.r_tgt = tgt._ipos[self.removed]
         self._zbumps = tuple(src._ibump[src._ipos[z]] for z in zs)
-        for zb in self._zbumps:
-            assert zb[self.r_pos] == 1
+        if any(zb[self.r_pos] != 1 for zb in self._zbumps):
+            raise ValueError(
+                f"an element between {lower!r} and {upper!r} misses the removed atom"
+            )
         self._dcache = {}
 
     @classmethod
@@ -177,54 +180,26 @@ class CleanMap:
         self.ring = ring
         self.chain = chain
         self.scalar = ring.field.one if scalar is None else scalar
-        self._covers = tuple(
+        self.covers = tuple(
             CoverData.of(ring, u, l) for u, l in zip(chain, chain[1:])
         )
-
-    @property
-    def source(self):
-        return self.chain[0]
-
-    @property
-    def target(self):
-        return self.chain[-1]
-
-    @property
-    def source_env(self):
-        return Envelope.of(self.ring, self.source)
-
-    @property
-    def target_env(self):
-        return Envelope.of(self.ring, self.target)
+        self.source, self.target = chain[0], chain[-1]
+        self.source_env = Envelope.of(ring, self.source)
+        self.target_env = Envelope.of(ring, self.target)
 
     def scaled(self, c):
         return CleanMap(self.ring, self.chain, self.scalar * c)
-
-    def apply_monomial(self, mon):
-        return self(EnvelopeElement(self.source_env, {mon: self.ring.field.one}))
 
     def __call__(self, elem):
         if elem.env is not self.source_env:
             raise ValueError("element lives in a different envelope")
         fld = self.ring.field
         terms = elem.terms
-        for cd in self._covers:
+        for cd in self.covers:
             nxt = {}
             for (lau, inv), c in terms.items():
                 for tl, ti, k in cd.apply_monomial(lau, inv):
-                    cc = c if k == 1 else c * fld.from_int(k)
-                    if not cc:
-                        continue
-                    key = (tl, ti)
-                    s = nxt.get(key)
-                    if s is None:
-                        nxt[key] = cc
-                    else:
-                        s = s + cc
-                        if s:
-                            nxt[key] = s
-                        else:
-                            del nxt[key]
+                    add_term(nxt, (tl, ti), c if k == 1 else c * fld.from_int(k))
             terms = nxt
         if terms is elem.terms:
             terms = dict(terms)
@@ -262,17 +237,9 @@ class GradedEndomap:
     """Evaluable degree-zero self-map of one envelope."""
 
     def __init__(self, env, fn, label=""):
-        self.env = env
+        self.env = self.source_env = self.target_env = env
         self._fn = fn
         self.label = label
-
-    @property
-    def source_env(self):
-        return self.env
-
-    @property
-    def target_env(self):
-        return self.env
 
     def __call__(self, elem):
         if elem.env is not self.env:
@@ -439,7 +406,6 @@ def tau_map(phi):
     on demand and memoized.
     """
     env = phi.source_env
-    fld = env.ring.field
     c = tau_coefficient(phi, env.unit_mon, env.unit_mon)
     if not c:
         raise ValueError("map kills the unit; no conjugate exists")
@@ -486,11 +452,7 @@ def tau_map(phi):
         acc = {}
         for mon, c0 in elem.terms.items():
             for beta, co in tau_mono(mon).items():
-                v = acc.get(beta, fld.zero) + c0 * co
-                if v:
-                    acc[beta] = v
-                else:
-                    acc.pop(beta, None)
+                add_term(acc, beta, c0 * co)
         return EnvelopeElement(env, acc)
 
     return GradedEndomap(env, fn, label="base-change conjugate")

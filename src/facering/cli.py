@@ -50,8 +50,24 @@ def _write_cert(args, cert):
             fh.write("\n")
 
 
-def _ring_for(args, poset):
-    return PolyRing(poset, field_from_name(args.field, args.prime))
+class _InvalidPoset(Exception):
+    """The poset breaks a simpliciality axiom; its violations are printed."""
+
+
+def _print_violations(report):
+    for axiom, witness in report.violations:
+        print(f"violation {axiom}: {' '.join(witness)}")
+
+
+def _load(args):
+    """Poset and ring named by --poset and --field; the poset is validated
+    first, so a broken one stops the command before any other output."""
+    poset = resolve_poset(args.poset)
+    report = validate_simplicial(poset)
+    if not report.ok:
+        _print_violations(report)
+        raise _InvalidPoset
+    return poset, PolyRing(poset, field_from_name(args.field, args.prime))
 
 
 def _parse_vector(text, n, what):
@@ -83,16 +99,13 @@ def cmd_validate(args):
     report = validate_simplicial(poset)
     if report.ok:
         print("ok")
-    else:
-        for axiom, witness in report.violations:
-            print(f"violation {axiom}: {' '.join(witness)}")
+    _print_violations(report)
     _write_cert(args, report.to_json())
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
 def cmd_ring(args):
-    poset = resolve_poset(args.poset)
-    ring = _ring_for(args, poset)
+    poset, ring = _load(args)
     member_polys = [(text, ring.parse(text)) for text in args.member or ()]
     straighten_polys = [(text, ring.parse(text)) for text in args.straighten or ()]
     cert = {"poset": args.poset, "field": ring.field.name}
@@ -135,8 +148,7 @@ def cmd_ring(args):
 
 
 def cmd_envelope(args):
-    poset = resolve_poset(args.poset)
-    ring = _ring_for(args, poset)
+    poset, ring = _load(args)
     deg = _parse_vector(args.deg, ring.natoms, "degree")
     if any(v < 0 for v in deg):
         raise FieldError("degree entries must be non-negative")
@@ -170,8 +182,7 @@ def cmd_envelope(args):
 
 
 def cmd_cleanmap(args):
-    poset = resolve_poset(args.poset)
-    ring = _ring_for(args, poset)
+    poset, ring = _load(args)
     _warn_if_infeasible(ring, args.box, args.depth)
     run_clean = args.check_clean or not (
         args.check_clean or args.check_linearity or args.tau_roundtrip
@@ -216,8 +227,8 @@ def cmd_cleanmap(args):
         box = list(env.monomial_box(args.box, depth_bound=args.depth))
         tau = materialize_tau(phi, box)
         agree = all(
-            compose_maps(psi, tau)(env.monomial(coeff=ring.field.one, **_mon_kw(env, mon)))
-            == phi(env.monomial(coeff=ring.field.one, **_mon_kw(env, mon)))
+            compose_maps(psi, tau)(env.element({mon: ring.field.one}))
+            == phi(env.element({mon: ring.field.one}))
             for mon in box
         )
         tau_inv = neumann_inverse(tau)
@@ -241,17 +252,8 @@ def cmd_cleanmap(args):
     return EXIT_OK if ok else EXIT_PROPERTY
 
 
-def _mon_kw(env, mon):
-    lau, inv = mon
-    return {
-        "laurent": {a: e for a, e in zip(env.atoms, lau) if e},
-        "inverse": {z: e for z, e in zip(env.inv_vars, inv) if e},
-    }
-
-
 def cmd_complex(args):
-    poset = resolve_poset(args.poset)
-    ring = _ring_for(args, poset)
+    poset, ring = _load(args)
     sc = build_scalar_complex(poset, ring.field)
     a = _parse_vector(args.a, ring.natoms, "degree") if args.a else (0,) * ring.natoms
     rep = complex_report(sc, a, args.poset, with_oracle=args.oracle)
@@ -317,7 +319,6 @@ def build_parser():
 
     p = sub.add_parser("envelope", help="annihilator sweeps on the envelopes")
     common(p)
-    p.add_argument("--ann", action="store_true", help="annihilator dimensions (default)")
     p.add_argument("--deg", required=True, help="comma-separated degree vector")
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--x", help="restrict to one element")
@@ -351,6 +352,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _InvalidPoset:
+        return EXIT_INVALID
     except (PosetError, FieldError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,12 +17,11 @@ parallel and merge by degree key; all matrices are immutable once built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .cleanmap import CertReport, cover_map
 from .envelope import Envelope
 from .linalg import bareiss_rank
-from .scalars import QQ
+from .scalars import QQ, add_term
 
 
 @dataclass
@@ -75,11 +74,12 @@ def verify_dd_zero(gc: EnvelopeComplex, laurent_bound=3, depth_bound=3) -> CertR
             routes = []
             for z in poset.lower_covers(x):
                 s1, m1 = gc.maps[(x, z)]
-                cd1 = m1._covers[0]
+                (cd1,) = m1.covers
                 seconds = []
                 for w in poset.lower_covers(z):
                     s2, m2 = gc.maps[(z, w)]
-                    seconds.append((w, s1 * s2, m2._covers[0]))
+                    (cd2,) = m2.covers
+                    seconds.append((w, s1 * s2, cd2))
                 routes.append((cd1, seconds))
             for lau, inv in env.monomial_box(laurent_bound, depth_bound=depth_bound):
                 acc = {}
@@ -87,12 +87,7 @@ def verify_dd_zero(gc: EnvelopeComplex, laurent_bound=3, depth_bound=3) -> CertR
                     for l1, i1, k1 in cd1.apply_monomial(lau, inv):
                         for w, s, cd2 in seconds:
                             for l2, i2, k2 in cd2.apply_monomial(l1, i1):
-                                key = (w, l2, i2)
-                                v = acc.get(key, 0) + s * k1 * k2
-                                if v:
-                                    acc[key] = v
-                                else:
-                                    acc.pop(key, None)
+                                add_term(acc, (w, l2, i2), s * k1 * k2)
                 checked += 1
                 if acc and witness is None:
                     w, l2, i2 = sorted(acc)[0]
@@ -202,9 +197,8 @@ def simplicial_oracle(poset, a, field=QQ):
     boundary matrices and its own elimination, so it shares no code path
     with the scalar complex.
     """
-    for p, q in combinations(poset.elements, 2):
-        if len(poset.join_set((p, q))) > 1:
-            raise ValueError("poset is not the face poset of a simplicial complex")
+    if not poset.is_face_poset_of_complex():
+        raise ValueError("poset is not the face poset of a simplicial complex")
     atoms = poset.atoms
     a = tuple(a)
     if len(a) != len(atoms):

@@ -24,6 +24,7 @@ from __future__ import annotations
 from itertools import product
 
 from .linalg import kernel_basis
+from .scalars import add_term
 
 
 class EnvelopeElement:
@@ -53,15 +54,7 @@ class EnvelopeElement:
             raise ValueError("elements live in different envelopes")
         merged = dict(self.terms)
         for m, c in other.terms.items():
-            s = merged.get(m)
-            if s is None:
-                merged[m] = c
-            else:
-                s = s + c
-                if s:
-                    merged[m] = s
-                else:
-                    del merged[m]
+            add_term(merged, m, c)
         return EnvelopeElement(self.env, merged)
 
     def __neg__(self):
@@ -205,7 +198,7 @@ class Envelope:
             i = self._apos[z]
             for (lau, inv), c in elem.terms.items():
                 key = (lau[:i] + (lau[i] + 1,) + lau[i + 1:], inv)
-                _acc(out, key, c)
+                add_term(out, key, c)
         else:
             if z not in self._ipos:
                 raise ValueError(f"unknown variable {z!r}")
@@ -214,11 +207,11 @@ class Envelope:
             for (lau, inv), c in elem.terms.items():
                 if bump is not None:
                     key = (tuple(a + b for a, b in zip(lau, bump)), inv)
-                    _acc(out, key, c)
+                    add_term(out, key, c)
                 e = inv[j]
                 if e > 0:
                     key = (lau, inv[:j] + (e - 1,) + inv[j + 1:])
-                    _acc(out, key, c)
+                    add_term(out, key, c)
         return EnvelopeElement(self, out)
 
     def act_monomial(self, mon, elem):
@@ -423,7 +416,8 @@ class Envelope:
             if shift:
                 f = f * ring.monomial(shift)
         result = self.act_polynomial(f, elem)
-        assert result and self.in_base(result)
+        if not (result and self.in_base(result)):
+            raise RuntimeError("essential witness does not land in the base")
         return f
 
     # ---------- presentation ----------
@@ -458,15 +452,3 @@ class Envelope:
                 }
             )
         return {"ambient": self.x, "terms": terms}
-
-
-def _acc(out, key, c):
-    s = out.get(key)
-    if s is None:
-        out[key] = c
-    else:
-        s = s + c
-        if s:
-            out[key] = s
-        else:
-            del out[key]

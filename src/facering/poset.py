@@ -117,6 +117,7 @@ class SimplicialPoset:
             tuple(a for a in self.atoms if self._idx[a] in below[i])
             for i in range(n)
         )
+        self._is_complex = None
 
     # ---------- construction ----------
 
@@ -265,11 +266,16 @@ class SimplicialPoset:
         return out
 
     def is_face_poset_of_complex(self):
-        """True when every pairwise join set has at most one element."""
-        return all(
-            len(self.join_set((p, q))) <= 1
-            for p, q in combinations(self.names, 2)
-        )
+        """True when every pairwise join set has at most one element.
+
+        Computed on the first call and kept: the poset never changes.
+        """
+        if self._is_complex is None:
+            self._is_complex = all(
+                len(self.join_set((p, q))) <= 1
+                for p, q in combinations(self.names, 2)
+            )
+        return self._is_complex
 
 
 def validate_simplicial(poset: SimplicialPoset) -> ValidationReport:

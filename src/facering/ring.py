@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 
-from .scalars import QQ
+from .scalars import QQ, add_term
 
 
 class Polynomial:
@@ -48,15 +48,7 @@ class Polynomial:
         self.ring._check(other)
         merged = dict(self.terms)
         for m, c in other.terms.items():
-            s = merged.get(m)
-            if s is None:
-                merged[m] = c
-            else:
-                s = s + c
-                if s:
-                    merged[m] = s
-                else:
-                    del merged[m]
+            add_term(merged, m, c)
         return Polynomial(self.ring, merged)
 
     def __neg__(self):
@@ -72,18 +64,7 @@ class Polynomial:
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(m1, m2))
-                c = c1 * c2
-                s = out.get(key)
-                if s is None:
-                    if c:
-                        out[key] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
+                add_term(out, tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
         return Polynomial(self.ring, out)
 
     def scale(self, c):
@@ -236,7 +217,9 @@ class PolyRing:
 
         t_x t_y - t_{x^y} * sum of t_z over the join set; the meet factor is
         dropped when the meet is the bottom, and an empty join set leaves the
-        bare product.
+        bare product.  The cache holds bare term dicts: cached polynomials
+        would point back at the ring, and that cycle keeps a dropped ring
+        alive until a full garbage collection.
         """
         if self._generators is None:
             one = self.field.one
@@ -255,23 +238,10 @@ class PolyRing:
                         if meet_idx is not None:
                             tail[meet_idx] += 1
                         tail[z] += 1
-                        key = tuple(tail)
-                        terms[key] = terms.get(key, self.field.zero) - one
-                        if not terms[key]:
-                            del terms[key]
-                    out.append(Polynomial(self, terms))
+                        add_term(terms, tuple(tail), -one)
+                    out.append(terms)
             self._generators = tuple(out)
-        return self._generators
-
-    def generator_pairs(self):
-        """(x, y, relation) triples in the order of generators()."""
-        gens = iter(self.generators())
-        out = []
-        for k1 in range(self.nvars):
-            for k2 in range(k1 + 1, self.nvars):
-                if not self._comparable[(k1, k2)]:
-                    out.append((self.variables[k1], self.variables[k2], next(gens)))
-        return tuple(out)
+        return tuple(Polynomial(self, terms) for terms in self._generators)
 
     def prime_generators(self, x):
         """Generators of the graded prime attached to x: the variables not
@@ -303,28 +273,16 @@ class PolyRing:
         out = {}
         for mon, c in f.terms.items():
             vec = [0] * self.nvars
-            dead = False
             for k, e in enumerate(mon):
                 if not e:
                     continue
                 z = self.variables[k]
                 if not poset.leq(z, x):
-                    dead = True
                     break
                 for a in poset.atoms_below(z):
                     vec[self._vidx[a]] += e
-            if dead:
-                continue
-            key = tuple(vec)
-            s = out.get(key)
-            if s is None:
-                out[key] = c
             else:
-                s = s + c
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+                add_term(out, tuple(vec), c)
         return Polynomial(self, out)
 
     def tilde_of(self, x, z):
@@ -437,16 +395,11 @@ class PolyRing:
                 out = list(base)
                 out[z] += 1
                 key = tuple(out)
-                assert self._weight(key) > w0
-                s = work.get(key)
-                if s is None:
-                    work[key] = coeff
-                else:
-                    s = s + coeff
-                    if s:
-                        work[key] = s
-                    else:
-                        del work[key]
+                if self._weight(key) <= w0:
+                    raise RuntimeError(
+                        "rewrite does not raise the weight; straightening would not terminate"
+                    )
+                add_term(work, key, coeff)
         return Polynomial(self, work), steps
 
     def is_ideal_member(self, f):
@@ -499,17 +452,8 @@ class PolyRing:
                     coeff = coeff * self.field.parse(factor)
             if sign < 0:
                 coeff = -coeff
-            key = tuple(vec)
-            s0 = total.get(key)
-            if s0 is None:
-                total[key] = coeff
-            else:
-                s0 = s0 + coeff
-                if s0:
-                    total[key] = s0
-                else:
-                    del total[key]
-        return Polynomial(self, {m: c for m, c in total.items() if c})
+            add_term(total, tuple(vec), coeff)
+        return Polynomial(self, total)
 
     def _format_monomial(self, mon):
         return "*".join(

@@ -84,14 +84,34 @@ class FpElement:
         return str(self.val)
 
 
+# Miller-Rabin with the first thirteen prime bases is exact below this bound
+# (psi_13; Sorenson and Webster 2015).  Bases up to 37 alone stop at psi_12 =
+# 318665857834031151167461, a strong pseudoprime to each of them.
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin primality test for 0 <= p < PRIME_BOUND."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -99,6 +119,8 @@ class PrimeField:
     """Field handle for the integers modulo a prime p."""
 
     def __init__(self, p: int):
+        if isinstance(p, int) and p >= PRIME_BOUND:
+            raise FieldError(f"{p} is not below the supported prime bound {PRIME_BOUND}")
         if not isinstance(p, int) or not _is_prime(p):
             raise FieldError(f"{p!r} is not a prime")
         self.p = p
@@ -141,3 +163,22 @@ def field_from_name(name: str, prime: int | None = None):
     if name.startswith("F") and name[1:].isdigit():
         return PrimeField(int(name[1:]))
     raise FieldError(f"unknown field {name!r}")
+
+
+def add_term(terms, key, c):
+    """Add c to the coefficient of key in the sparse dict terms, in place.
+
+    A sum that cancels removes the key and a zero c is never stored, so terms
+    never holds a zero coefficient.  Works for any exact scalar, plain int
+    included.
+    """
+    s = terms.get(key)
+    if s is None:
+        if c:
+            terms[key] = c
+    else:
+        s = s + c
+        if s:
+            terms[key] = s
+        else:
+            del terms[key]

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from facering.bundled import bundled_poset_text
 from facering.cli import main
 
@@ -75,7 +77,7 @@ def test_ring_bad_polynomial(capsys):
 
 
 def test_envelope_annihilator(capsys):
-    code = main(["envelope", "--poset", "p1", "--ann", "--deg", "1,1", "--depth", "3"])
+    code = main(["envelope", "--poset", "p1", "--deg", "1,1", "--depth", "3"])
     assert code == 0
     out = capsys.readouterr().out
     assert "x: dim=1 expected=1 ok" in out
@@ -173,3 +175,34 @@ def test_field_option_threads_through(capsys):
     assert main(["ring", "--poset", "p1", "--field", "F3", "--straighten", "t[y1]*t[y2]"]) == 0
     assert main(["ring", "--poset", "p1", "--field", "Fp", "--prime", "5"]) == 0
     assert main(["ring", "--poset", "p1", "--field", "F4"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ring"],
+        ["envelope", "--deg", "1,0,0", "--depth", "1"],
+        ["cleanmap", "--box", "1", "--depth", "1"],
+        ["complex", "--dd", "--box", "1", "--depth", "1"],
+    ],
+)
+def test_invalid_poset_fails_before_output(tmp_path, capsys, argv):
+    # a rank-2 element covering three atoms: its lower interval is not boolean
+    path = tmp_path / "three_atoms.json"
+    path.write_text(
+        '{"elements": ["0", "a", "b", "c", "x"], "covers": [["a", "0"], ["b", "0"],'
+        ' ["c", "0"], ["x", "a"], ["x", "b"], ["x", "c"]]}',
+        encoding="utf-8",
+    )
+    assert main(["validate", str(path)]) == 1
+    expected = capsys.readouterr().out
+    assert main(argv[:1] + ["--poset", str(path)] + argv[1:]) == 1
+    out = capsys.readouterr().out
+    assert out == expected
+    assert out.startswith("violation boolean lower interval: x\n")
+
+
+def test_prime_above_bound_is_usage_error(capsys):
+    argv = ["ring", "--poset", "p1", "--field", "Fp", "--prime", str(2**89 - 1)]
+    assert main(argv) == 2
+    assert "bound" in capsys.readouterr().err

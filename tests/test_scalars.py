@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from facering.scalars import FieldError, PrimeField, QQ, field_from_name
+from facering.scalars import (
+    PRIME_BOUND,
+    QQ,
+    FieldError,
+    PrimeField,
+    add_term,
+    field_from_name,
+)
 
 
 def test_rationals():
@@ -41,3 +48,79 @@ def test_field_from_name():
         field_from_name("Fp")
     with pytest.raises(FieldError):
         field_from_name("R")
+
+
+def test_large_primes_accepted():
+    for p in (10**18 + 3, 2**61 - 1):
+        assert PrimeField(p).from_int(p + 1) == PrimeField(p).one
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        561,  # Carmichael number
+        3215031751,  # 151 * 751 * 28351, strong pseudoprime to bases 2, 3, 5, 7
+        2**61 + 1,
+        10**18 + 1,
+        # 399165290221 * 798330580441, strong pseudoprime to bases 2..37
+        318665857834031151167461,
+    ],
+)
+def test_composites_rejected(n):
+    with pytest.raises(FieldError, match="not a prime"):
+        PrimeField(n)
+
+
+def test_prime_above_bound_rejected():
+    with pytest.raises(FieldError, match=str(PRIME_BOUND)):
+        PrimeField(PRIME_BOUND + 2)
+    with pytest.raises(FieldError, match="bound"):
+        field_from_name("Fp", prime=2**89 - 1)
+
+
+def test_small_primes():
+    primes = [n for n in range(200) if all(n % d for d in range(2, n))]
+    got = []
+    for n in range(200):
+        try:
+            PrimeField(n)
+            got.append(n)
+        except FieldError:
+            pass
+    assert got == primes[2:]
+
+
+def test_add_term_cancellation_removes_key():
+    terms = {"a": Fraction(1, 2), "b": Fraction(1)}
+    add_term(terms, "a", Fraction(-1, 2))
+    assert terms == {"b": 1}
+    add_term(terms, "b", -QQ.one)
+    assert terms == {}
+
+
+def test_add_term_never_stores_zero():
+    F2 = PrimeField(2)
+    terms = {}
+    add_term(terms, "a", F2.from_int(2))
+    assert terms == {}
+    add_term(terms, "b", F2.zero)
+    add_term(terms, "a", F2.one)
+    add_term(terms, "a", F2.one)
+    assert terms == {}
+
+
+def test_add_term_plain_ints():
+    terms = {}
+    for key, c in [("a", 2), ("b", -1), ("a", -2), ("b", 0), ("c", 3)]:
+        add_term(terms, key, c)
+    assert terms == {"b": -1, "c": 3}
+    add_term(terms, "b", 1)
+    assert terms == {"c": 3}
+
+
+def test_add_term_first_insertion_order():
+    terms = {}
+    for key, c in [("z", 1), ("a", 1), ("m", 1), ("a", 2), ("z", 5)]:
+        add_term(terms, key, c)
+    assert list(terms) == ["z", "a", "m"]
+    assert terms == {"z": 6, "a": 3, "m": 1}
