@@ -30,6 +30,7 @@ from .complexes import (
     build_gamma,
     build_scalar_complex,
     complex_report,
+    dd_sweep_size,
     verify_dd_zero,
 )
 from .envelope import Envelope
@@ -80,15 +81,29 @@ def _parse_vector(text, n, what):
     return vec
 
 
+_WARN_SIZE = 5_000_000
+
+
 def _warn_if_infeasible(ring, laurent_bound, depth_bound):
     """Rough size estimate of the largest per-element sweep; warn, don't stop."""
     natoms = max((ring.poset.rank_of(x) for x in ring.poset.elements), default=0)
     size = (2 * laurent_bound + 1) ** natoms * (depth_bound + 1) ** min(
         ring.nvars, 6
     )
-    if size > 5_000_000:
+    if size > _WARN_SIZE:
         print(
             f"warning: bounds look infeasible (~{size:.0e} monomials per sweep); "
+            "this may take very long",
+            file=sys.stderr,
+        )
+
+
+def _warn_if_dd_long(ring, laurent_bound, depth_bound):
+    """Exact number of monomials the dd sweep expands; warn, don't stop."""
+    size = dd_sweep_size(ring, laurent_bound, depth_bound)
+    if size > _WARN_SIZE:
+        print(
+            f"warning: the dd sweep expands {size} monomials; "
             "this may take very long",
             file=sys.stderr,
         )
@@ -265,7 +280,7 @@ def cmd_complex(args):
         print(f"match: {'true' if rep['match'] else 'false'}")
         ok = ok and bool(rep["match"])
     if args.dd:
-        _warn_if_infeasible(ring, args.box, args.depth)
+        _warn_if_dd_long(ring, args.box, args.depth)
         gc = build_gamma(ring)
         dd = verify_dd_zero(gc, laurent_bound=args.box, depth_bound=args.depth)
         rep["dd"] = dd.to_json()

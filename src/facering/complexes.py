@@ -17,6 +17,7 @@ parallel and merge by degree key; all matrices are immutable once built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .cleanmap import CertReport, cover_map
 from .envelope import Envelope
@@ -50,9 +51,107 @@ def build_gamma(ring) -> EnvelopeComplex:
     return EnvelopeComplex(ring, terms, maps)
 
 
+def _count_inverse_vectors(weights, depth_bound):
+    """Number of inverse vectors over variables of these weights whose depth
+    is at most depth_bound."""
+    if depth_bound < 0:
+        return 0
+    ways = [1] + [0] * depth_bound  # ways[s]: vectors of depth exactly s
+    for w in weights:
+        for s in range(w, depth_bound + 1):
+            ways[s] += ways[s - w]
+    return sum(ways)
+
+
+def _active_box(env, lpos, ipos, laurent_bound, depth_bound):
+    """The monomials of ``env.monomial_box`` that are zero off the Laurent
+    positions lpos and the inverse positions ipos, in the same order."""
+    invs = []
+    vec = [0] * env.ninv
+    weights = env._iweight
+
+    def rec(k, budget):
+        if k == len(ipos):
+            invs.append(tuple(vec))
+            return
+        j = ipos[k]
+        for e in range(budget // weights[j] + 1):
+            vec[j] = e
+            rec(k + 1, budget - e * weights[j])
+        vec[j] = 0
+
+    rec(0, depth_bound)
+    lau = [0] * env.natoms
+    rng = range(-laurent_bound, laurent_bound + 1)
+    for inv in invs:
+        for vals in product(rng, repeat=len(lpos)):
+            for p, v in zip(lpos, vals):
+                lau[p] = v
+            yield tuple(lau), inv
+
+
+def _diamonds_below(env):
+    """Each rank-2 interval [w < x] at x = env.x as (w, middles, Laurent
+    positions, inverse positions), the positions being the active
+    coordinates of env: the atoms of x not below w, and the non-atom
+    elements below x but not below w."""
+    poset = env.ring.poset
+    mids = {}
+    for z in poset.lower_covers(env.x):
+        for w in poset.lower_covers(z):
+            mids.setdefault(w, []).append(z)
+    for w, zs in mids.items():
+        lau = tuple(i for i, a in enumerate(env.atoms) if not poset.leq(a, w))
+        inv = tuple(
+            j
+            for j, y in enumerate(env.inv_vars)
+            if env._ileq[j] and not poset.leq(y, w)
+        )
+        yield w, zs, lau, inv
+
+
+def dd_sweep_size(ring, laurent_bound, depth_bound):
+    """Number of source monomials ``verify_dd_zero`` expands at these bounds:
+    over every rank-2 interval, the active Laurent box times the active
+    inverse vectors."""
+    side = 2 * laurent_bound + 1
+    total = 0
+    for x in ring.poset.elements:
+        if ring.poset.rank_of(x) < 2:
+            continue
+        env = Envelope.of(ring, x)
+        for _, _, lau, inv in _diamonds_below(env):
+            weights = [env._iweight[j] for j in inv]
+            total += side ** len(lau) * _count_inverse_vectors(weights, depth_bound)
+    return total
+
+
 def verify_dd_zero(gc: EnvelopeComplex, laurent_bound=3, depth_bound=3) -> CertReport:
-    """Check that consecutive signed differentials cancel on every basis
-    monomial in the box, reporting cancellation per rank-2 interval.
+    """Check that consecutive signed differentials cancel, reporting
+    cancellation per rank-2 interval.
+
+    A cover step x > z copies the inverse exponents of the elements it does
+    not touch and shifts the Laurent exponents of the atoms it keeps by an
+    amount fixed by the removed atom's exponent and the inverse exponents of
+    the elements below x but not below z.  So on a rank-2 interval [w < x]
+    the composites through both middles depend only on its active
+    coordinates: the Laurent exponents of the two atoms of x not below w,
+    and the inverse exponents of the non-atom elements below x but not
+    below w.  Every other coordinate is passive (the atoms of w, the
+    elements below w, the elements not below x) and comes out of both steps
+    translated by its own value.  The leftover of a diamond at any monomial
+    is therefore its leftover at the active projection, translated, and each
+    diamond is swept over its active coordinates only: Laurent exponents in
+    [-laurent_bound, laurent_bound] and inverse vectors of depth at most
+    depth_bound, passive coordinates zero.  A pass holds for every value of
+    the passive coordinates, which is stronger than the box.
+
+    ``checked`` counts the monomials of the full box that the sweep covers:
+    for each x of rank at least two, the Laurent box over its atoms times
+    its inverse vectors of bounded depth.  On failure the full box of the
+    first x with a failing diamond is scanned in the order of
+    ``monomial_box``, and the witness is its first monomial whose
+    composites do not cancel.
 
     Coefficients stay in exact integers here: the expansion coefficients are
     binomial counts and the signs are units, so vanishing over the integers
@@ -60,10 +159,8 @@ def verify_dd_zero(gc: EnvelopeComplex, laurent_bound=3, depth_bound=3) -> CertR
     field.
     """
     ring = gc.ring
-    poset = ring.poset
-    diamonds = {
-        (w, x): True for (w, x, _) in poset.rank2_intervals()
-    }
+    side = 2 * laurent_bound + 1
+    diamonds = {}
     checked = 0
     witness = None
     for i in sorted(gc.terms, reverse=True):
@@ -71,44 +168,25 @@ def verify_dd_zero(gc: EnvelopeComplex, laurent_bound=3, depth_bound=3) -> CertR
             continue
         for x in gc.terms[i]:
             env = Envelope.of(ring, x)
-            routes = []
-            for z in poset.lower_covers(x):
-                s1, m1 = gc.maps[(x, z)]
-                (cd1,) = m1.covers
-                seconds = []
-                for w in poset.lower_covers(z):
+            nvecs = _count_inverse_vectors(env._iweight, depth_bound)
+            checked += side ** env.natoms * nvecs
+            bad = {}
+            for w, zs, lpos, ipos in _diamonds_below(env):
+                routes = []
+                for z in zs:
+                    s1, m1 = gc.maps[(x, z)]
                     s2, m2 = gc.maps[(z, w)]
+                    (cd1,) = m1.covers
                     (cd2,) = m2.covers
-                    seconds.append((w, s1 * s2, cd2))
-                routes.append((cd1, seconds))
-            for lau, inv in env.monomial_box(laurent_bound, depth_bound=depth_bound):
-                acc = {}
-                for cd1, seconds in routes:
-                    for l1, i1, k1 in cd1.apply_monomial(lau, inv):
-                        for w, s, cd2 in seconds:
-                            for l2, i2, k2 in cd2.apply_monomial(l1, i1):
-                                add_term(acc, (w, l2, i2), s * k1 * k2)
-                checked += 1
-                if acc and witness is None:
-                    w, l2, i2 = sorted(acc)[0]
-                    diamonds[(w, x)] = False
-                    tgt = Envelope.of(ring, w)
-                    witness = {
-                        "source": x,
-                        "monomial": env.element_to_json(
-                            env.element({(lau, inv): ring.field.one})
-                        ),
-                        "target": w,
-                        "leftover": tgt.element_to_json(
-                            tgt.element(
-                                {
-                                    (l, i): ring.field.from_int(v)
-                                    for (ww, l, i), v in acc.items()
-                                    if ww == w
-                                }
-                            )
-                        ),
-                    }
+                    routes.append((s1 * s2, cd1, cd2))
+                box = _active_box(env, lpos, ipos, laurent_bound, depth_bound)
+                if any(_leftover(routes, lau, inv) for lau, inv in box):
+                    bad[w] = routes
+                diamonds[(w, x)] = w not in bad
+            if bad and witness is None:
+                witness = _first_leftover(
+                    env, sorted(bad.items()), laurent_bound, depth_bound
+                )
     return CertReport(
         "differential composites vanish",
         {"laurent": laurent_bound, "depth": depth_bound},
@@ -120,6 +198,43 @@ def verify_dd_zero(gc: EnvelopeComplex, laurent_bound=3, depth_bound=3) -> CertR
                 f"[{w} < {x}]": ok for (w, x), ok in sorted(diamonds.items())
             }
         },
+    )
+
+
+def _leftover(routes, lau, inv):
+    """Signed sum of the routes' images of one monomial, as integer terms."""
+    acc = {}
+    for s, cd1, cd2 in routes:
+        for l1, i1, k1 in cd1.apply_monomial(lau, inv):
+            for l2, i2, k2 in cd2.apply_monomial(l1, i1):
+                add_term(acc, (l2, i2), s * k1 * k2)
+    return acc
+
+
+def _first_leftover(env, bad, laurent_bound, depth_bound):
+    """Witness from a scan of the full box at env.x: the first monomial
+    whose composites do not cancel, and its leftover at the least failing
+    target.  bad lists (w, routes) by w."""
+    ring = env.ring
+    for lau, inv in env.monomial_box(laurent_bound, depth_bound=depth_bound):
+        for w, routes in bad:
+            acc = _leftover(routes, lau, inv)
+            if acc:
+                tgt = Envelope.of(ring, w)
+                return {
+                    "source": env.x,
+                    "monomial": env.element_to_json(
+                        env.element({(lau, inv): ring.field.one})
+                    ),
+                    "target": w,
+                    "leftover": tgt.element_to_json(
+                        tgt.element(
+                            {mon: ring.field.from_int(v) for mon, v in acc.items()}
+                        )
+                    ),
+                }
+    raise RuntimeError(
+        f"a diamond below {env.x!r} fails on its active box but the full box cancels"
     )
 
 

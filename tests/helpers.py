@@ -2,8 +2,8 @@
 
 from itertools import combinations
 
-from facering import PolyRing, bundled_poset
-from facering.scalars import QQ
+from facering import Envelope, PolyRing, bundled_poset
+from facering.scalars import QQ, add_term
 
 ALL_BUNDLED = (
     "p1",
@@ -122,3 +122,54 @@ def subset_expansion_action(env, exps, elem):
                 else:
                     total.pop(key, None)
     return env.element(total)
+
+
+def reference_dd_sweep(gc, laurent_bound, depth_bound, memo=None):
+    """Independent full-box check that consecutive differentials cancel.
+
+    Expands every monomial of the full box at every x of rank at least two
+    through every route x > z > w with the public maps, m2(m1(e)), and sums
+    the signed images per target.  Returns the pass flag, the number of
+    monomials swept, the witness of the first monomial that does not
+    cancel (same layout as ``verify_dd_zero``) and the set of failing
+    rank-2 intervals (w, x).  Route images do not depend on the signs, so a
+    caller sweeping several sign choices of one complex may share ``memo``.
+    """
+    ring = gc.ring
+    poset = ring.poset
+    field = ring.field
+    memo = {} if memo is None else memo
+    checked = 0
+    witness = None
+    failing = set()
+    for i in sorted(gc.terms, reverse=True):
+        if i < 2:
+            continue
+        for x in gc.terms[i]:
+            env = Envelope.of(ring, x)
+            for mon in env.monomial_box(laurent_bound, depth_bound=depth_bound):
+                checked += 1
+                e = env.element({mon: field.one})
+                sums = {}
+                for z in poset.lower_covers(x):
+                    s1, m1 = gc.maps[(x, z)]
+                    for w in poset.lower_covers(z):
+                        s2, m2 = gc.maps[(z, w)]
+                        key = (m1, m2, mon)
+                        img = memo.get(key)
+                        if img is None:
+                            img = memo[key] = m2(m1(e)).terms
+                        acc = sums.setdefault(w, {})
+                        for t, c in img.items():
+                            add_term(acc, t, c * (s1 * s2))
+                bad = sorted(w for w, acc in sums.items() if acc)
+                failing.update((w, x) for w in bad)
+                if bad and witness is None:
+                    tgt = Envelope.of(ring, bad[0])
+                    witness = {
+                        "source": x,
+                        "monomial": env.element_to_json(e),
+                        "target": bad[0],
+                        "leftover": tgt.element_to_json(tgt.element(sums[bad[0]])),
+                    }
+    return witness is None, checked, witness, failing

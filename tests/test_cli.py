@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from facering import PolyRing, bundled_poset
 from facering.bundled import bundled_poset_text
-from facering.cli import main
+from facering.cli import _warn_if_dd_long, main
+from facering.complexes import dd_sweep_size
 
 
 def _bundled_file(tmp_path, name):
@@ -153,6 +155,27 @@ def test_infeasible_bounds_warn(capsys):
     )
     assert code == 0
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_dd_sweep_within_bounds_does_not_warn(capsys):
+    code = main(
+        ["complex", "--poset", "tetrahedron_boundary", "--dd",
+         "--box", "3", "--depth", "4"]
+    )
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "dd-zero: pass" in captured.out
+    assert captured.err == ""
+
+
+def test_dd_warning_states_exact_size(capsys):
+    ring = PolyRing(bundled_poset("tetrahedron_boundary"))
+    size = dd_sweep_size(ring, 200, 3)
+    assert size > 5_000_000
+    _warn_if_dd_long(ring, 200, 3)
+    assert f"the dd sweep expands {size} monomials" in capsys.readouterr().err
+    _warn_if_dd_long(ring, 3, 4)
+    assert capsys.readouterr().err == ""
 
 
 def test_cleanmap_cert_deterministic(tmp_path):

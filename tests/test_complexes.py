@@ -4,6 +4,7 @@ import pytest
 
 from facering import (
     Envelope,
+    EnvelopeComplex,
     PolyRing,
     SimplicialPoset,
     build_gamma,
@@ -15,9 +16,10 @@ from facering import (
     simplicial_oracle,
     verify_dd_zero,
 )
+from facering.complexes import dd_sweep_size
 from facering.scalars import QQ, PrimeField
 
-from helpers import COMPLEX_BUNDLED, make_ring
+from helpers import ALL_BUNDLED, COMPLEX_BUNDLED, make_ring, reference_dd_sweep
 
 
 def test_gamma_terms_p1(ring_p1):
@@ -65,6 +67,140 @@ def test_dd_zero_negative_control(ring_p1):
     assert rep.witness is not None
     assert rep.witness["source"] == "x" and rep.witness["target"] == "0"
     assert not all(rep.details["rank2_intervals"].values())
+
+
+def _flipped(gc, cover):
+    maps = dict(gc.maps)
+    if cover is not None:
+        sign, m = maps[cover]
+        maps[cover] = (-sign, m)
+    return EnvelopeComplex(gc.ring, gc.terms, maps)
+
+
+def _false_diamonds(rep):
+    return {k for k, ok in rep.details["rank2_intervals"].items() if not ok}
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_dd_zero_matches_full_box_reference(name):
+    ring = make_ring(name)
+    gc = build_gamma(ring)
+    memo = {}
+    for lb, db in ((1, 0), (1, 1), (2, 1)):
+        for cover in (None, *sorted(gc.maps)):
+            flipped = _flipped(gc, cover)
+            rep = verify_dd_zero(flipped, laurent_bound=lb, depth_bound=db)
+            passed, checked, witness, failing = reference_dd_sweep(flipped, lb, db, memo)
+            assert (rep.passed, rep.checked, rep.witness) == (passed, checked, witness)
+            assert _false_diamonds(rep) == {f"[{w} < {x}]" for w, x in failing}
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_flipped_cover_fails_exactly_its_diamonds(name):
+    ring = make_ring(name)
+    gc = build_gamma(ring)
+    intervals = ring.poset.rank2_intervals()
+    for u, l in gc.maps:
+        rep = verify_dd_zero(_flipped(gc, (u, l)), laurent_bound=1, depth_bound=1)
+        want = {
+            f"[{w} < {x}]"
+            for w, x, mids in intervals
+            if (x == u and l in mids) or (w == l and u in mids)
+        }
+        assert _false_diamonds(rep) == want
+        assert rep.passed == (not want)
+
+
+def _diamond_leftover(gc, w, x, elem):
+    """Signed sum of the two routes of [w < x] through the public maps."""
+    ring = gc.ring
+    total = Envelope.of(ring, w).zero()
+    for z in ring.poset.lower_covers(x):
+        if (z, w) in gc.maps:
+            s1, m1 = gc.maps[(x, z)]
+            s2, m2 = gc.maps[(z, w)]
+            total = total + m2(m1(elem)).scale(ring.field.from_int(s1 * s2))
+    return total
+
+
+def _passive_shift(poset, w, x):
+    """Far-out-of-box values on passive coordinates of [w < x]: Laurent 40
+    on each atom of w, inverse 9 on the first element not below x."""
+    far = next(y for y in poset.proper_elements if not poset.leq(y, x))
+    return {a: 40 for a in poset.atoms_below(w)}, {far: 9}
+
+
+def _active_monomials(poset, w, x):
+    r1, r2 = (a for a in poset.atoms_below(x) if not poset.leq(a, w))
+    for e1, e2, c in product((-2, -1, 0), (-2, -1, 0), (0, 1)):
+        yield {r1: e1, r2: e2}, ({x: c} if c else {})
+
+
+@pytest.mark.parametrize("name", ("tetrahedron_boundary", "double_triangle"))
+def test_diamonds_cancel_at_every_passive_value(name):
+    ring = make_ring(name)
+    poset = ring.poset
+    gc = build_gamma(ring)
+    for w, x, _ in poset.rank2_intervals():
+        env = Envelope.of(ring, x)
+        lau_far, inv_far = _passive_shift(poset, w, x)
+        for lau, inv in _active_monomials(poset, w, x):
+            elem = env.monomial({**lau, **lau_far}, {**inv, **inv_far})
+            assert _diamond_leftover(gc, w, x, elem).is_zero(), (w, x, lau, inv)
+
+
+def _translate(env, elem, laurent, inverse):
+    dl, di = env.monomial_key(laurent, inverse)
+    return env.element(
+        {
+            (
+                tuple(a + b for a, b in zip(lau, dl)),
+                tuple(a + b for a, b in zip(inv, di)),
+            ): c
+            for (lau, inv), c in elem.terms.items()
+        }
+    )
+
+
+@pytest.mark.parametrize("name", ("tetrahedron_boundary", "double_triangle"))
+def test_leftover_translates_with_passive_coordinates(name):
+    ring = make_ring(name)
+    poset = ring.poset
+    gc = build_gamma(ring)
+    for w, x, mids in poset.rank2_intervals():
+        flipped = _flipped(gc, (x, mids[0]))
+        env, tgt = Envelope.of(ring, x), Envelope.of(ring, w)
+        lau_far, inv_far = _passive_shift(poset, w, x)
+        for lau, inv in _active_monomials(poset, w, x):
+            near = _diamond_leftover(flipped, w, x, env.monomial(lau, inv))
+            far = _diamond_leftover(
+                flipped, w, x, env.monomial({**lau, **lau_far}, {**inv, **inv_far})
+            )
+            assert far == _translate(tgt, near, lau_far, inv_far), (w, x, lau, inv)
+            if lau == dict.fromkeys(lau, 0):
+                assert near, (w, x)
+
+
+def test_dd_sweep_size_counts_active_boxes():
+    # active inverse vectors: zero on the passive elements (below w, or not
+    # below x); two active atoms per interval
+    for name in ALL_BUNDLED:
+        ring = make_ring(name)
+        poset = ring.poset
+        for lb, db in ((1, 0), (2, 2), (3, 4)):
+            want = 0
+            for w, x, _ in poset.rank2_intervals():
+                env = Envelope.of(ring, x)
+                passive = [
+                    j
+                    for j, y in enumerate(env.inv_vars)
+                    if poset.leq(y, w) or not poset.leq(y, x)
+                ]
+                invs = [
+                    v for v in env._inverse_vectors(db) if not any(v[j] for j in passive)
+                ]
+                want += (2 * lb + 1) ** 2 * len(invs)
+            assert dd_sweep_size(ring, lb, db) == want, (name, lb, db)
 
 
 def test_gamma_matches_scalar_signs():
