@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .envelope import Envelope, EnvelopeElement
+from .envelope import Envelope, EnvelopeElement, bounded_vectors
 from .scalars import add_term
 
 
@@ -107,31 +107,22 @@ class CoverData:
         return cd
 
     def _expansions(self, budget):
+        """Each way to move at most budget units into Z: the units per Z
+        element, their total, and the Laurent bump they give the source
+        atoms."""
         cached = self._dcache.get(budget)
-        if cached is not None:
-            return cached
-        k = len(self.Z)
-        out = []
-        d = [0] * k
-
-        def rec(i, rem):
-            if i == k:
+        if cached is None:
+            out = []
+            for d in bounded_vectors((1,) * len(self.Z), budget):
                 bump = [0] * self.source.natoms
                 for dz, zb in zip(d, self._zbumps):
                     if dz:
                         for t, b in enumerate(zb):
                             if b:
                                 bump[t] += dz
-                out.append((tuple(d), sum(d), tuple(bump)))
-                return
-            for e in range(rem + 1):
-                d[i] = e
-                rec(i + 1, rem - e)
-            d[i] = 0
-
-        rec(0, budget)
-        self._dcache[budget] = tuple(out)
-        return self._dcache[budget]
+                out.append((d, sum(d), tuple(bump)))
+            cached = self._dcache[budget] = tuple(out)
+        return cached
 
     def apply_monomial(self, lau, inv):
         """Expand one source monomial into [(laurent, inverse, int coeff)].
@@ -325,22 +316,16 @@ def check_clean(m, depth_bound=4):
     return CertReport("clean", {"depth": depth_bound}, True, checked=len(mons))
 
 
-def check_linearity(m, laurent_bound=2, depth_bound=2, inverse_bound=None):
+def check_linearity(m, laurent_bound=2, depth_bound=2):
     """Certify degree preservation and commutation with every variable on a
     finite monomial box."""
     src = m.source_env
     tgt = m.target_env
     ring = src.ring
     fld = ring.field
-    bounds = {"laurent": laurent_bound}
-    if inverse_bound is not None:
-        bounds["inverse"] = inverse_bound
-    else:
-        bounds["depth"] = depth_bound
+    bounds = {"laurent": laurent_bound, "depth": depth_bound}
     checked = 0
-    for mon in src.monomial_box(
-        laurent_bound, depth_bound=depth_bound, inverse_bound=inverse_bound
-    ):
+    for mon in src.monomial_box(laurent_bound, depth_bound):
         e = EnvelopeElement(src, {mon: fld.one})
         img = m(e)
         d = src.degree(mon)
@@ -410,32 +395,13 @@ def tau_map(phi):
     if not c:
         raise ValueError("map kills the unit; no conjugate exists")
     memo = {}
-    n = env.ring.natoms
-    acoords = set(env._acoord)
-    free = [g for g in range(n) if g not in acoords]
 
     def candidates(alpha):
-        lau_a, inv_a = alpha
-        adeg = env.degree(alpha)
-        stack = [()]
-        for j in range(env.ninv):
-            stack = [pre + (e,) for pre in stack for e in range(inv_a[j] + 1)]
-        for inv_b in stack:
-            ok = True
-            for g in free:
-                s = -sum(
-                    e * env._ideg[j][g] for j, e in enumerate(inv_b) if e
-                )
-                if s != adeg[g]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            lau_b = tuple(
-                adeg[g] + sum(e * env._ideg[j][g] for j, e in enumerate(inv_b) if e)
-                for g in env._acoord
-            )
-            yield (lau_b, inv_b)
+        # the betas of alpha's degree whose inverse part lies below alpha's
+        inv_a = alpha[1]
+        for beta in env.monomials_of_degree(env.degree(alpha), env.depth(alpha)):
+            if all(b <= a for a, b in zip(inv_a, beta[1])):
+                yield beta
 
     def tau_mono(alpha):
         out = memo.get(alpha)

@@ -84,16 +84,12 @@ def _parse_vector(text, n, what):
 _WARN_SIZE = 5_000_000
 
 
-def _warn_if_infeasible(ring, laurent_bound, depth_bound):
-    """Rough size estimate of the largest per-element sweep; warn, don't stop."""
-    natoms = max((ring.poset.rank_of(x) for x in ring.poset.elements), default=0)
-    size = (2 * laurent_bound + 1) ** natoms * (depth_bound + 1) ** min(
-        ring.nvars, 6
-    )
+def _warn_if_long(what, size):
+    """Warn on stderr, without stopping, before sweeps that expand more than
+    _WARN_SIZE monomials."""
     if size > _WARN_SIZE:
         print(
-            f"warning: bounds look infeasible (~{size:.0e} monomials per sweep); "
-            "this may take very long",
+            f"warning: {what} {size} monomials; this may take very long",
             file=sys.stderr,
         )
 
@@ -101,12 +97,25 @@ def _warn_if_infeasible(ring, laurent_bound, depth_bound):
 def _warn_if_dd_long(ring, laurent_bound, depth_bound):
     """Exact number of monomials the dd sweep expands; warn, don't stop."""
     size = dd_sweep_size(ring, laurent_bound, depth_bound)
-    if size > _WARN_SIZE:
-        print(
-            f"warning: the dd sweep expands {size} monomials; "
-            "this may take very long",
-            file=sys.stderr,
-        )
+    _warn_if_long("the dd sweep expands", size)
+
+
+def _warn_if_cleanmap_long(ring, run_clean, run_lin, x, laurent_bound, depth_bound):
+    """Exact number of source monomials the selected cleanmap sweeps walk:
+    per cover, the clean sweep's degree-zero monomials and the linearity
+    box; for a roundtrip at x (None for none), the box at x.  Warn, don't
+    stop."""
+    zero = (0,) * ring.natoms
+    size = 0
+    for u, _ in ring.poset.covers:
+        env = Envelope.of(ring, u)
+        if run_clean:
+            size += len(env.monomials_of_degree(zero, depth_bound, depth_min=1))
+        if run_lin:
+            size += env.box_size(laurent_bound, depth_bound)
+    if x is not None:
+        size += Envelope.of(ring, x).box_size(laurent_bound, depth_bound)
+    _warn_if_long("the cleanmap sweeps expand", size)
 
 
 def cmd_validate(args):
@@ -198,13 +207,20 @@ def cmd_envelope(args):
 
 def cmd_cleanmap(args):
     poset, ring = _load(args)
-    _warn_if_infeasible(ring, args.box, args.depth)
-    run_clean = args.check_clean or not (
-        args.check_clean or args.check_linearity or args.tau_roundtrip
-    )
-    run_lin = args.check_linearity or not (
-        args.check_clean or args.check_linearity or args.tau_roundtrip
-    )
+    selected = args.check_clean or args.check_linearity or args.tau_roundtrip
+    run_clean = args.check_clean or not selected
+    run_lin = args.check_linearity or not selected
+    x = None
+    if args.tau_roundtrip:
+        ranked = [e for e in poset.elements if poset.rank_of(e) >= 2]
+        x = args.x or next(iter(ranked), None)
+        if x not in ranked:
+            raise PosetError(
+                f"{x!r} is not an element of rank at least 2"
+                if x
+                else "no element of rank at least 2 for the roundtrip"
+            )
+    _warn_if_cleanmap_long(ring, run_clean, run_lin, x, args.box, args.depth)
     reports = []
     ok = True
     for u, l in poset.covers:
@@ -225,14 +241,7 @@ def cmd_cleanmap(args):
                 f"(|laurent| <= {args.box}, depth <= {args.depth})"
             )
             ok = ok and rep.passed
-    if args.tau_roundtrip:
-        x = args.x
-        if x is None:
-            x = next(
-                (e for e in poset.elements if poset.rank_of(e) >= 2), None
-            )
-        if x is None:
-            raise PosetError("no element of rank at least 2 for the roundtrip")
+    if x is not None:
         lowers = poset.lower_covers(x)
         psi = cover_map(ring, x, lowers[0])
         sigma = nonclean_automorphism(ring, x, ring.field.one)
@@ -304,6 +313,14 @@ def cmd_complex(args):
     return EXIT_OK if ok else EXIT_PROPERTY
 
 
+def _bound(text):
+    """A non-negative integer: the type of --box, --depth and --clean-depth."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="facering",
@@ -335,7 +352,7 @@ def build_parser():
     p = sub.add_parser("envelope", help="annihilator sweeps on the envelopes")
     common(p)
     p.add_argument("--deg", required=True, help="comma-separated degree vector")
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=_bound, default=3)
     p.add_argument("--x", help="restrict to one element")
     p.set_defaults(func=cmd_envelope)
 
@@ -344,8 +361,8 @@ def build_parser():
     p.add_argument("--check-clean", action="store_true")
     p.add_argument("--check-linearity", action="store_true")
     p.add_argument("--tau-roundtrip", action="store_true")
-    p.add_argument("--box", type=int, default=2, help="Laurent exponent bound")
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--box", type=_bound, default=2, help="Laurent exponent bound")
+    p.add_argument("--depth", type=_bound, default=3)
     p.add_argument("--x", help="element for the roundtrip")
     p.set_defaults(func=cmd_cleanmap)
 
@@ -354,9 +371,9 @@ def build_parser():
     p.add_argument("--a", help="comma-separated degree vector (default all zero)")
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--dd", action="store_true", help="verify consecutive differentials")
-    p.add_argument("--box", type=int, default=2)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--clean-depth", type=int, default=3)
+    p.add_argument("--box", type=_bound, default=2)
+    p.add_argument("--depth", type=_bound, default=2)
+    p.add_argument("--clean-depth", type=_bound, default=3)
     p.set_defaults(func=cmd_complex)
 
     return parser

@@ -17,7 +17,6 @@ parallel and merge by degree key; all matrices are immutable once built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .cleanmap import CertReport, cover_map
 from .envelope import Envelope
@@ -51,45 +50,6 @@ def build_gamma(ring) -> EnvelopeComplex:
     return EnvelopeComplex(ring, terms, maps)
 
 
-def _count_inverse_vectors(weights, depth_bound):
-    """Number of inverse vectors over variables of these weights whose depth
-    is at most depth_bound."""
-    if depth_bound < 0:
-        return 0
-    ways = [1] + [0] * depth_bound  # ways[s]: vectors of depth exactly s
-    for w in weights:
-        for s in range(w, depth_bound + 1):
-            ways[s] += ways[s - w]
-    return sum(ways)
-
-
-def _active_box(env, lpos, ipos, laurent_bound, depth_bound):
-    """The monomials of ``env.monomial_box`` that are zero off the Laurent
-    positions lpos and the inverse positions ipos, in the same order."""
-    invs = []
-    vec = [0] * env.ninv
-    weights = env._iweight
-
-    def rec(k, budget):
-        if k == len(ipos):
-            invs.append(tuple(vec))
-            return
-        j = ipos[k]
-        for e in range(budget // weights[j] + 1):
-            vec[j] = e
-            rec(k + 1, budget - e * weights[j])
-        vec[j] = 0
-
-    rec(0, depth_bound)
-    lau = [0] * env.natoms
-    rng = range(-laurent_bound, laurent_bound + 1)
-    for inv in invs:
-        for vals in product(rng, repeat=len(lpos)):
-            for p, v in zip(lpos, vals):
-                lau[p] = v
-            yield tuple(lau), inv
-
-
 def _diamonds_below(env):
     """Each rank-2 interval [w < x] at x = env.x as (w, middles, Laurent
     positions, inverse positions), the positions being the active
@@ -114,15 +74,13 @@ def dd_sweep_size(ring, laurent_bound, depth_bound):
     """Number of source monomials ``verify_dd_zero`` expands at these bounds:
     over every rank-2 interval, the active Laurent box times the active
     inverse vectors."""
-    side = 2 * laurent_bound + 1
     total = 0
     for x in ring.poset.elements:
         if ring.poset.rank_of(x) < 2:
             continue
         env = Envelope.of(ring, x)
-        for _, _, lau, inv in _diamonds_below(env):
-            weights = [env._iweight[j] for j in inv]
-            total += side ** len(lau) * _count_inverse_vectors(weights, depth_bound)
+        for _, _, lpos, ipos in _diamonds_below(env):
+            total += env.box_size(laurent_bound, depth_bound, lpos, ipos)
     return total
 
 
@@ -159,7 +117,6 @@ def verify_dd_zero(gc: EnvelopeComplex, laurent_bound=3, depth_bound=3) -> CertR
     field.
     """
     ring = gc.ring
-    side = 2 * laurent_bound + 1
     diamonds = {}
     checked = 0
     witness = None
@@ -168,8 +125,7 @@ def verify_dd_zero(gc: EnvelopeComplex, laurent_bound=3, depth_bound=3) -> CertR
             continue
         for x in gc.terms[i]:
             env = Envelope.of(ring, x)
-            nvecs = _count_inverse_vectors(env._iweight, depth_bound)
-            checked += side ** env.natoms * nvecs
+            checked += env.box_size(laurent_bound, depth_bound)
             bad = {}
             for w, zs, lpos, ipos in _diamonds_below(env):
                 routes = []
@@ -179,7 +135,7 @@ def verify_dd_zero(gc: EnvelopeComplex, laurent_bound=3, depth_bound=3) -> CertR
                     (cd1,) = m1.covers
                     (cd2,) = m2.covers
                     routes.append((s1 * s2, cd1, cd2))
-                box = _active_box(env, lpos, ipos, laurent_bound, depth_bound)
+                box = env.monomial_box(laurent_bound, depth_bound, lpos, ipos)
                 if any(_leftover(routes, lau, inv) for lau, inv in box):
                     bad[w] = routes
                 diamonds[(w, x)] = w not in bad

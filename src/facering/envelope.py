@@ -27,6 +27,52 @@ from .linalg import kernel_basis
 from .scalars import add_term
 
 
+def _check_bound(value, what):
+    if value < 0:
+        raise ValueError(f"{what} must be non-negative, got {value}")
+
+
+def bounded_vectors(weights, budget):
+    """Every non-negative integer vector v with sum(v[i] * weights[i]) at
+    most budget, in lexicographic order.  Weights are positive integers."""
+    _check_bound(budget, "bound")
+    n = len(weights)
+    out = []
+    vec = [0] * n
+
+    def rec(j, rem):
+        if j == n:
+            out.append(tuple(vec))
+            return
+        w = weights[j]
+        for e in range(rem // w + 1):
+            vec[j] = e
+            rec(j + 1, rem - e * w)
+        vec[j] = 0
+
+    rec(0, budget)
+    return out
+
+
+def count_bounded_vectors(weights, budget):
+    """``len(bounded_vectors(weights, budget))``, without enumerating."""
+    _check_bound(budget, "bound")
+    ways = [1] + [0] * budget  # ways[s]: vectors of weighted sum exactly s
+    for w in weights:
+        for s in range(w, budget + 1):
+            ways[s] += ways[s - w]
+    return sum(ways)
+
+
+def _spread(n, positions, vectors):
+    """Each vector written at the given positions of a length-n zero vector."""
+    vec = [0] * n
+    for vals in vectors:
+        for p, v in zip(positions, vals):
+            vec[p] = v
+        yield tuple(vec)
+
+
 class EnvelopeElement:
     """Finite combination of basis monomials of one envelope."""
 
@@ -254,27 +300,16 @@ class Envelope:
 
     # ---------- monomial enumeration ----------
 
-    def _inverse_vectors(self, depth_max):
-        cached = self._invcache.get(depth_max)
-        if cached is not None:
-            return cached
-        out = []
-        vec = [0] * self.ninv
-        weights = self._iweight
-
-        def rec(j, budget):
-            if j == self.ninv:
-                out.append(tuple(vec))
-                return
-            w = weights[j]
-            for e in range(budget // w + 1):
-                vec[j] = e
-                rec(j + 1, budget - e * w)
-            vec[j] = 0
-
-        rec(0, depth_max)
-        self._invcache[depth_max] = tuple(out)
-        return self._invcache[depth_max]
+    def _inverse_vectors(self, depth_bound, positions=None):
+        """Inverse vectors of depth at most depth_bound that are zero off the
+        inverse positions (all by default), in lexicographic order."""
+        key = (depth_bound, positions)
+        cached = self._invcache.get(key)
+        if cached is None:
+            pos = range(self.ninv) if positions is None else positions
+            vecs = bounded_vectors([self._iweight[j] for j in pos], depth_bound)
+            cached = self._invcache[key] = tuple(_spread(self.ninv, pos, vecs))
+        return cached
 
     def monomials_of_degree(self, a, depth_max, depth_min=0):
         """All basis monomials of the given degree with bounded depth.
@@ -283,6 +318,7 @@ class Envelope:
         forced by the degree.  Empty whenever the degree has a positive
         entry outside the atoms below x.
         """
+        _check_bound(depth_max, "depth bound")
         n = self.ring.natoms
         a = tuple(a)
         if len(a) != n:
@@ -326,17 +362,34 @@ class Envelope:
         out.sort()
         return out
 
-    def monomial_box(self, laurent_bound, depth_bound=None, inverse_bound=None):
-        """Iterate basis monomials with Laurent exponents in a symmetric box
-        and inverse part bounded either by depth or by a per-exponent cap."""
-        if inverse_bound is not None:
-            invs = product(range(inverse_bound + 1), repeat=self.ninv)
-        else:
-            invs = self._inverse_vectors(depth_bound or 0)
+    def monomial_box(self, laurent_bound, depth_bound=0, lpos=None, ipos=None):
+        """Iterate the basis monomials with Laurent exponents in
+        [-laurent_bound, laurent_bound] and depth at most depth_bound: inverse
+        part outermost, each part in lexicographic order.
+
+        Given Laurent positions lpos and inverse positions ipos (ascending
+        tuples), only the monomials that are zero off them, in the same
+        order.
+        """
+        _check_bound(laurent_bound, "Laurent bound")
+        invs = self._inverse_vectors(depth_bound, ipos)
+        lpos = range(self.natoms) if lpos is None else lpos
         rng = range(-laurent_bound, laurent_bound + 1)
-        for inv in invs:
-            for lau in product(rng, repeat=self.natoms):
-                yield (lau, inv)
+        return (
+            (lau, inv)
+            for inv in invs
+            for lau in _spread(self.natoms, lpos, product(rng, repeat=len(lpos)))
+        )
+
+    def box_size(self, laurent_bound, depth_bound=0, lpos=None, ipos=None):
+        """Number of monomials ``monomial_box`` yields at the same arguments."""
+        _check_bound(laurent_bound, "Laurent bound")
+        nlau = self.natoms if lpos is None else len(lpos)
+        pos = range(self.ninv) if ipos is None else ipos
+        weights = [self._iweight[j] for j in pos]
+        return (2 * laurent_bound + 1) ** nlau * count_bounded_vectors(
+            weights, depth_bound
+        )
 
     # ---------- distinguished subspaces ----------
 

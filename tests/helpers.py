@@ -1,8 +1,8 @@
 """Shared test utilities: random generators and independent mini-oracles."""
 
-from itertools import combinations
+from itertools import combinations, product
 
-from facering import Envelope, PolyRing, bundled_poset
+from facering import Envelope, PolyRing, bundled_poset, tau_coefficient
 from facering.scalars import QQ, add_term
 
 ALL_BUNDLED = (
@@ -173,3 +173,25 @@ def reference_dd_sweep(gc, laurent_bound, depth_bound, memo=None):
                         "leftover": tgt.element_to_json(tgt.element(sums[bad[0]])),
                     }
     return witness is None, checked, witness, failing
+
+
+def reference_tau(phi, alpha):
+    """Independent table of the base-change conjugate of phi at the monomial
+    alpha, as {beta: coefficient}.  Walks every inverse part below alpha's
+    exponent by exponent, forces the Laurent part from alpha's degree, keeps
+    the betas of alpha's degree and pairs each through ``tau_coefficient``."""
+    env = phi.source_env
+    adeg = env.degree(alpha)
+    out = {}
+    for inv_b in product(*(range(e + 1) for e in alpha[1])):
+        lau_b = tuple(
+            adeg[g] + sum(e * env._ideg[j][g] for j, e in enumerate(inv_b))
+            for g in env._acoord
+        )
+        beta = (lau_b, inv_b)
+        if env.degree(beta) != adeg:
+            continue
+        co = tau_coefficient(phi, alpha, beta)
+        if co:
+            out[beta] = co
+    return out

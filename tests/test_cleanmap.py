@@ -23,7 +23,7 @@ from facering import (
 )
 from facering.scalars import QQ, PrimeField
 
-from helpers import make_ring, random_envelope_element
+from helpers import make_ring, random_envelope_element, reference_tau
 
 
 @pytest.fixture
@@ -105,11 +105,13 @@ def test_path_independence_p1(ring_p1):
     via_y2 = chain_map(ring_p1, ("x", "y2", "0"))
     fld = ring_p1.field
     count = 0
-    for mon in env.monomial_box(4, inverse_bound=4):
+    # both inverse variables at x have weight 2, so depth 16 holds the box
+    # of inverse exponents up to 4
+    for mon in env.monomial_box(4, depth_bound=16):
         e = env.element({mon: fld.one})
         assert via_y1(e) == via_y2(e)
         count += 1
-    assert count == 9 * 9 * 5 * 5
+    assert count == 9 * 9 * 45
 
 
 def test_path_independence_rank3():
@@ -193,13 +195,13 @@ def test_laurent_linearity_of_cover_maps(ring_p1, psi, rng):
 
 
 def test_check_linearity(ring_p1, psi):
-    rep = check_linearity(psi, laurent_bound=4, inverse_bound=4)
-    assert rep.passed and rep.checked == 9 * 9 * 5 * 5
+    rep = check_linearity(psi, laurent_bound=4, depth_bound=16)
+    assert rep.passed and rep.checked == 9 * 9 * 45
 
 
 def test_check_linearity_f2():
     ring = PolyRing(bundled_poset("p1"), PrimeField(2))
-    rep = check_linearity(cover_map(ring, "x", "y1"), laurent_bound=4, inverse_bound=4)
+    rep = check_linearity(cover_map(ring, "x", "y1"), laurent_bound=4, depth_bound=16)
     assert rep.passed
 
 
@@ -271,6 +273,24 @@ def test_tau_roundtrip(ring_p1, psi):
         e = env.element({mon: fld.one})
         assert tau(tau_inv(e)) == e
     assert check_clean(compose_maps(phi, tau_inv), depth_bound=4).passed
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(3)), ids=("Q", "F3"))
+@pytest.mark.parametrize("name", ("tetrahedron_boundary", "double_triangle"))
+def test_tau_matches_reference(name, field):
+    # on the roundtrip box at the first element of rank 2 and at one of top
+    # rank, with a depth that reaches the perturbation at both
+    ring = PolyRing(bundled_poset(name), field)
+    poset = ring.poset
+    for rank in (2, poset.max_rank):
+        x = next(e for e in poset.elements if poset.rank_of(e) == rank)
+        env = Envelope.of(ring, x)
+        psi = cover_map(ring, x, poset.lower_covers(x)[0])
+        phi = compose_maps(psi, nonclean_automorphism(ring, x, field.one))
+        tau = tau_map(phi)
+        for mon in env.monomial_box(1, 3):
+            got = tau(env.element({mon: field.one}))
+            assert got == env.element(reference_tau(phi, mon)), (name, x, mon)
 
 
 def test_tau_requires_unit_survival(ring_p1, psi):

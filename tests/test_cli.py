@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from facering import PolyRing, bundled_poset
+from facering import Envelope, PolyRing, bundled_poset
+from facering import cli
 from facering.bundled import bundled_poset_text
-from facering.cli import _warn_if_dd_long, main
+from facering.cli import _warn_if_cleanmap_long, _warn_if_dd_long, main
 from facering.complexes import dd_sweep_size
 
 
@@ -148,13 +149,14 @@ def test_json_certificate_deterministic(tmp_path):
     assert cert["dims"]["-2"] == 1
 
 
-def test_infeasible_bounds_warn(capsys):
+def test_clean_sweep_box_does_not_warn(capsys):
+    # the clean sweep walks degree-zero monomials by depth; --box is unused
     code = main(
         ["cleanmap", "--poset", "tetrahedron_boundary", "--check-clean",
          "--box", "40", "--depth", "3"]
     )
     assert code == 0
-    assert "infeasible" in capsys.readouterr().err
+    assert capsys.readouterr().err == ""
 
 
 def test_dd_sweep_within_bounds_does_not_warn(capsys):
@@ -176,6 +178,76 @@ def test_dd_warning_states_exact_size(capsys):
     assert f"the dd sweep expands {size} monomials" in capsys.readouterr().err
     _warn_if_dd_long(ring, 3, 4)
     assert capsys.readouterr().err == ""
+
+
+def test_cleanmap_warning_states_exact_size(capsys):
+    # the linearity sweep of a cover walks the Laurent box over the source's
+    # atoms times the source's inverse vectors of bounded depth
+    ring = PolyRing(bundled_poset("tetrahedron_boundary"))
+    size = 0
+    for u, _ in ring.poset.covers:
+        env = Envelope.of(ring, u)
+        size += 401 ** env.natoms * len(env._inverse_vectors(3))
+    assert size > 5_000_000
+    _warn_if_cleanmap_long(ring, False, True, None, 200, 3)
+    assert f"the cleanmap sweeps expand {size} monomials" in capsys.readouterr().err
+    _warn_if_cleanmap_long(ring, True, True, "123", 2, 3)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [[], ["--check-clean"], ["--check-linearity"], ["--tau-roundtrip"],
+     ["--check-clean", "--tau-roundtrip"]],
+)
+def test_cleanmap_warning_counts_the_sweeps(monkeypatch, tmp_path, capsys, flags):
+    # with the threshold at zero the warning always prints: its count is the
+    # number of monomials the reports say were checked, plus the box the
+    # roundtrip materialises at x
+    monkeypatch.setattr(cli, "_WARN_SIZE", 0)
+    out = tmp_path / "c.json"
+    argv = ["cleanmap", "--poset", "double_triangle", "--box", "1", "--depth", "3"]
+    assert main(argv + flags + ["--json", str(out)]) == 0
+    reports = json.loads(out.read_text())["reports"]
+    want = sum(r.get("checked", 0) for r in reports)
+    if "--tau-roundtrip" in flags:
+        ring = PolyRing(bundled_poset("double_triangle"))
+        want += len(list(Envelope.of(ring, "12").monomial_box(1, 3)))
+    err = capsys.readouterr().err
+    assert f"the cleanmap sweeps expand {want} monomials" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cleanmap", "--poset", "p1", "--check-linearity", "--box", "-1"],
+        ["cleanmap", "--poset", "p1", "--check-clean", "--depth", "-2"],
+        ["complex", "--poset", "p1", "--dd", "--box", "1", "--depth", "-1"],
+        ["complex", "--poset", "tetrahedron_boundary", "--dd", "--box", "-1",
+         "--depth", "1"],
+        ["complex", "--poset", "p1", "--dd", "--clean-depth", "-1"],
+        ["envelope", "--poset", "p1", "--deg", "1,0", "--depth", "-1"],
+    ],
+)
+def test_negative_bounds_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be non-negative" in captured.err
+
+
+def test_roundtrip_element_checked_before_output(capsys):
+    for x in ("nope", "y1"):
+        code = main(
+            ["cleanmap", "--poset", "p1", "--tau-roundtrip", "--x", x,
+             "--box", "1", "--depth", "1"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "of rank at least 2" in captured.err
 
 
 def test_cleanmap_cert_deterministic(tmp_path):

@@ -1,11 +1,16 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from facering import Envelope, bundled_poset, PolyRing
+from facering.cleanmap import check_clean, check_linearity, cover_map
+from facering.complexes import _diamonds_below, build_gamma, verify_dd_zero
+from facering.envelope import bounded_vectors, count_bounded_vectors
 from facering.scalars import PrimeField
 
 from helpers import (
+    ALL_BUNDLED,
     make_ring,
     random_envelope_element,
     random_polynomial,
@@ -283,3 +288,76 @@ def test_prime_field_envelope(rng):
     assert doubled.is_zero()
     f = ring.parse("t[y1]*t[y2] + t[x] + t[z]")
     assert env.act_polynomial(f, u).is_zero()
+
+
+# ---------- the certification box ----------
+
+@settings(max_examples=80, deadline=None)
+@given(
+    weights=st.lists(st.integers(1, 4), max_size=4),
+    budget=st.integers(0, 7),
+)
+def test_bounded_vectors_match_brute_force(weights, budget):
+    brute = [
+        v
+        for v in product(*(range(budget // w + 1) for w in weights))
+        if sum(e * w for e, w in zip(v, weights)) <= budget
+    ]
+    vecs = bounded_vectors(weights, budget)
+    assert vecs == brute
+    assert count_bounded_vectors(weights, budget) == len(brute)
+
+
+def _box_positions(env):
+    # every diamond's active positions, plus the full box and the empty one
+    yield None, None
+    yield (), ()
+    for _, _, lpos, ipos in _diamonds_below(env):
+        yield lpos, ipos
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_box_size_counts_monomial_box(name):
+    ring = make_ring(name)
+    for x in ring.poset.elements:
+        env = Envelope.of(ring, x)
+        for lb, db in product((0, 1, 2), (0, 1, 3)):
+            full = list(env.monomial_box(lb, db))
+            assert full == sorted(full, key=lambda m: (m[1], m[0]))
+            assert all(
+                env.depth(m) <= db and all(abs(e) <= lb for e in m[0]) for m in full
+            )
+            for lpos, ipos in _box_positions(env):
+                box = list(env.monomial_box(lb, db, lpos, ipos))
+                assert env.box_size(lb, db, lpos, ipos) == len(box), (x, lpos, ipos)
+                if lpos is None:
+                    continue
+                loff = [i for i in range(env.natoms) if i not in lpos]
+                ioff = [j for j in range(env.ninv) if j not in ipos]
+                want = [
+                    (lau, inv)
+                    for lau, inv in full
+                    if not any(lau[i] for i in loff) and not any(inv[j] for j in ioff)
+                ]
+                assert box == want, (x, lpos, ipos, lb, db)
+
+
+def test_negative_bounds_raise(ring_p1):
+    env = Envelope.of(ring_p1, "x")
+    calls = [
+        lambda: bounded_vectors((1, 2), -1),
+        lambda: count_bounded_vectors((1, 2), -1),
+        lambda: env.monomial_box(-1, 2),
+        lambda: env.monomial_box(1, -1),
+        lambda: env.monomial_box(1, -1, (0,), (1,)),
+        lambda: env.box_size(-1, 2),
+        lambda: env.box_size(1, -1),
+        lambda: env.monomials_of_degree((0, 0), -1),
+        lambda: check_linearity(cover_map(ring_p1, "x", "y1"), -1, 2),
+        lambda: check_clean(cover_map(ring_p1, "x", "y1"), -2),
+        lambda: verify_dd_zero(build_gamma(make_ring("tetrahedron_boundary")), -1, 1),
+        lambda: verify_dd_zero(build_gamma(ring_p1), 1, -1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="non-negative"):
+            call()
