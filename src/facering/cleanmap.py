@@ -69,29 +69,26 @@ class CoverData:
         self.lower = lower
         self.source = Envelope.of(ring, upper)
         self.target = Envelope.of(ring, lower)
-        self.removed = poset.removed_atom(upper, lower)
         src, tgt = self.source, self.target
-        self.r_pos = src._apos[self.removed]
+        lpos, self.z_src = src.active_positions(lower)
+        if len(lpos) != 1:
+            raise ValueError(f"cover {upper!r} > {lower!r} does not remove one atom")
+        (self.r_pos,) = lpos
+        self.removed = src.atoms[self.r_pos]
         self.kept = tuple(
             (i, tgt._apos[a]) for i, a in enumerate(src.atoms) if a != self.removed
         )
-        zs = tuple(
-            z
-            for z in src.inv_vars
-            if poset.leq(z, upper) and not poset.leq(z, lower)
-        )
+        self.Z = zs = tuple(src.inv_vars[j] for j in self.z_src)
         for z in src.inv_vars:
             if poset.leq(z, upper) and (z in zs) != poset.leq(self.removed, z):
                 raise ValueError(f"{z!r} breaks the boolean interval below {upper!r}")
-        self.Z = zs
         zset = set(zs)
-        self.z_src = tuple(src._ipos[z] for z in zs)
         self.z_tgt = tuple(tgt._ipos[z] for z in zs)
         self.w_pairs = tuple(
             (src._ipos[w], tgt._ipos[w]) for w in src.inv_vars if w not in zset
         )
         self.r_tgt = tgt._ipos[self.removed]
-        self._zbumps = tuple(src._ibump[src._ipos[z]] for z in zs)
+        self._zbumps = tuple(src._ibump[j] for j in self.z_src)
         if any(zb[self.r_pos] != 1 for zb in self._zbumps):
             raise ValueError(
                 f"an element between {lower!r} and {upper!r} misses the removed atom"
@@ -158,9 +155,9 @@ class CoverData:
 
 class CleanMap:
     """Composite of cover steps along a saturated chain, sending the source
-    unit to scalar times the target unit."""
+    unit to the target unit."""
 
-    def __init__(self, ring, chain, scalar=None):
+    def __init__(self, ring, chain):
         chain = tuple(chain)
         if not chain:
             raise ValueError("empty chain")
@@ -170,16 +167,12 @@ class CleanMap:
                 raise ValueError(f"chain step {u!r} > {l!r} is not a cover")
         self.ring = ring
         self.chain = chain
-        self.scalar = ring.field.one if scalar is None else scalar
         self.covers = tuple(
             CoverData.of(ring, u, l) for u, l in zip(chain, chain[1:])
         )
         self.source, self.target = chain[0], chain[-1]
         self.source_env = Envelope.of(ring, self.source)
         self.target_env = Envelope.of(ring, self.target)
-
-    def scaled(self, c):
-        return CleanMap(self.ring, self.chain, self.scalar * c)
 
     def __call__(self, elem):
         if elem.env is not self.source_env:
@@ -194,10 +187,7 @@ class CleanMap:
             terms = nxt
         if terms is elem.terms:
             terms = dict(terms)
-        out = EnvelopeElement(self.target_env, terms)
-        if self.scalar != self.ring.field.one:
-            out = out.scale(self.scalar)
-        return out
+        return EnvelopeElement(self.target_env, terms)
 
     def __repr__(self):
         return f"CleanMap({' > '.join(self.chain)})"
@@ -249,14 +239,8 @@ class ComposedMap:
             raise ValueError("maps do not compose")
         self.outer = outer
         self.inner = inner
-
-    @property
-    def source_env(self):
-        return self.inner.source_env
-
-    @property
-    def target_env(self):
-        return self.outer.target_env
+        self.source_env = inner.source_env
+        self.target_env = outer.target_env
 
     def __call__(self, elem):
         return self.outer(self.inner(elem))
@@ -434,7 +418,11 @@ def materialize_tau(phi, monomials):
     return t
 
 
-def neumann_inverse(endo, max_extra=4):
+# Correction-series steps allowed beyond the input's total inverse exponent.
+_SERIES_EXTRA = 4
+
+
+def neumann_inverse(endo):
     """Inverse of a unit-triangular evaluable endomap via its correction
     series; raises StabilizationError instead of silently truncating."""
     env = endo.env
@@ -450,7 +438,7 @@ def neumann_inverse(endo, max_extra=4):
     def fn(elem):
         if elem.is_zero():
             return elem
-        bound = max(sum(inv) for (_, inv) in elem.terms) + max_extra
+        bound = max(sum(inv) for (_, inv) in elem.terms) + _SERIES_EXTRA
         term = elem
         total = env.zero()
         sign = 1

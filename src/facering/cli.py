@@ -220,6 +220,11 @@ def cmd_cleanmap(args):
                 if x
                 else "no element of rank at least 2 for the roundtrip"
             )
+        if args.depth < poset.rank_of(x):
+            raise PosetError(
+                f"the roundtrip perturbs through t[{x}]^-1, of depth "
+                f"{poset.rank_of(x)}; it needs --depth {poset.rank_of(x)} or more"
+            )
     _warn_if_cleanmap_long(ring, run_clean, run_lin, x, args.box, args.depth)
     reports = []
     ok = True

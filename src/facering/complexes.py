@@ -52,22 +52,15 @@ def build_gamma(ring) -> EnvelopeComplex:
 
 def _diamonds_below(env):
     """Each rank-2 interval [w < x] at x = env.x as (w, middles, Laurent
-    positions, inverse positions), the positions being the active
-    coordinates of env: the atoms of x not below w, and the non-atom
-    elements below x but not below w."""
+    positions, inverse positions), the positions being
+    ``env.active_positions(w)``."""
     poset = env.ring.poset
     mids = {}
     for z in poset.lower_covers(env.x):
         for w in poset.lower_covers(z):
             mids.setdefault(w, []).append(z)
     for w, zs in mids.items():
-        lau = tuple(i for i, a in enumerate(env.atoms) if not poset.leq(a, w))
-        inv = tuple(
-            j
-            for j, y in enumerate(env.inv_vars)
-            if env._ileq[j] and not poset.leq(y, w)
-        )
-        yield w, zs, lau, inv
+        yield (w, zs, *env.active_positions(w))
 
 
 def dd_sweep_size(ring, laurent_bound, depth_bound):
@@ -88,33 +81,26 @@ def verify_dd_zero(gc: EnvelopeComplex, laurent_bound=3, depth_bound=3) -> CertR
     """Check that consecutive signed differentials cancel, reporting
     cancellation per rank-2 interval.
 
-    A cover step x > z copies the inverse exponents of the elements it does
-    not touch and shifts the Laurent exponents of the atoms it keeps by an
-    amount fixed by the removed atom's exponent and the inverse exponents of
-    the elements below x but not below z.  So on a rank-2 interval [w < x]
-    the composites through both middles depend only on its active
-    coordinates: the Laurent exponents of the two atoms of x not below w,
-    and the inverse exponents of the non-atom elements below x but not
-    below w.  Every other coordinate is passive (the atoms of w, the
-    elements below w, the elements not below x) and comes out of both steps
-    translated by its own value.  The leftover of a diamond at any monomial
-    is therefore its leftover at the active projection, translated, and each
-    diamond is swept over its active coordinates only: Laurent exponents in
-    [-laurent_bound, laurent_bound] and inverse vectors of depth at most
-    depth_bound, passive coordinates zero.  A pass holds for every value of
-    the passive coordinates, which is stronger than the box.
+    Both composites of an interval [w < x] move only the coordinates
+    ``Envelope.active_positions(w)`` names, so each interval is swept over
+    those alone (Laurent exponents in [-laurent_bound, laurent_bound],
+    inverse depth at most depth_bound, the rest zero), and a pass holds for
+    every value of the passive coordinates.  ``checked`` counts the full box
+    the sweep covers: at each x of rank at least two, the Laurent box over
+    its atoms times its inverse vectors of bounded depth.
 
-    ``checked`` counts the monomials of the full box that the sweep covers:
-    for each x of rank at least two, the Laurent box over its atoms times
-    its inverse vectors of bounded depth.  On failure the full box of the
-    first x with a failing diamond is scanned in the order of
-    ``monomial_box``, and the witness is its first monomial whose
-    composites do not cancel.
+    The witness is the first full-box monomial, in ``monomial_box`` order,
+    of the first x with a failing interval, with its leftover at the least
+    target where it does not cancel.  A monomial fails exactly when its
+    active projection does, and of the monomials with one active part the
+    least has passive Laurent exponents -laurent_bound and passive inverse
+    exponents zero.  So each interval's first failing active monomial,
+    lifted that way, is its first failing full-box monomial, and the witness
+    is the least lift.
 
-    Coefficients stay in exact integers here: the expansion coefficients are
+    Coefficients stay in exact integers: the expansion coefficients are
     binomial counts and the signs are units, so vanishing over the integers
-    is the strongest statement and implies vanishing in any coefficient
-    field.
+    implies vanishing in any coefficient field.
     """
     ring = gc.ring
     diamonds = {}
@@ -126,23 +112,22 @@ def verify_dd_zero(gc: EnvelopeComplex, laurent_bound=3, depth_bound=3) -> CertR
         for x in gc.terms[i]:
             env = Envelope.of(ring, x)
             checked += env.box_size(laurent_bound, depth_bound)
-            bad = {}
+            bad = []
             for w, zs, lpos, ipos in _diamonds_below(env):
                 routes = []
                 for z in zs:
-                    s1, m1 = gc.maps[(x, z)]
-                    s2, m2 = gc.maps[(z, w)]
-                    (cd1,) = m1.covers
-                    (cd2,) = m2.covers
+                    (s1, m1), (s2, m2) = gc.maps[(x, z)], gc.maps[(z, w)]
+                    (cd1,), (cd2,) = m1.covers, m2.covers
                     routes.append((s1 * s2, cd1, cd2))
                 box = env.monomial_box(laurent_bound, depth_bound, lpos, ipos)
-                if any(_leftover(routes, lau, inv) for lau, inv in box):
-                    bad[w] = routes
-                diamonds[(w, x)] = w not in bad
+                first = next((mon for mon in box if _leftover(routes, *mon)), None)
+                diamonds[(w, x)] = first is None
+                if first is not None:
+                    lb = -laurent_bound
+                    lau = tuple(e if p in lpos else lb for p, e in enumerate(first[0]))
+                    bad.append((w, routes, (lau, first[1])))
             if bad and witness is None:
-                witness = _first_leftover(
-                    env, sorted(bad.items()), laurent_bound, depth_bound
-                )
+                witness = _witness(env, bad)
     return CertReport(
         "differential composites vanish",
         {"laurent": laurent_bound, "depth": depth_bound},
@@ -167,31 +152,27 @@ def _leftover(routes, lau, inv):
     return acc
 
 
-def _first_leftover(env, bad, laurent_bound, depth_bound):
-    """Witness from a scan of the full box at env.x: the first monomial
-    whose composites do not cancel, and its leftover at the least failing
-    target.  bad lists (w, routes) by w."""
+def _witness(env, bad):
+    """Witness at env.x from its failing intervals, listed as (w, routes,
+    first failing full-box monomial): the least of those monomials, and its
+    leftover at the least target where it does not cancel."""
     ring = env.ring
-    for lau, inv in env.monomial_box(laurent_bound, depth_bound=depth_bound):
-        for w, routes in bad:
-            acc = _leftover(routes, lau, inv)
-            if acc:
-                tgt = Envelope.of(ring, w)
-                return {
-                    "source": env.x,
-                    "monomial": env.element_to_json(
-                        env.element({(lau, inv): ring.field.one})
-                    ),
-                    "target": w,
-                    "leftover": tgt.element_to_json(
-                        tgt.element(
-                            {mon: ring.field.from_int(v) for mon, v in acc.items()}
-                        )
-                    ),
-                }
-    raise RuntimeError(
-        f"a diamond below {env.x!r} fails on its active box but the full box cancels"
-    )
+    lau, inv = min((mon for _, _, mon in bad), key=lambda m: (m[1], m[0]))
+    for w, routes, _ in sorted(bad, key=lambda b: b[0]):
+        acc = _leftover(routes, lau, inv)
+        if acc:
+            tgt = Envelope.of(ring, w)
+            return {
+                "source": env.x,
+                "monomial": env.element_to_json(
+                    env.element({(lau, inv): ring.field.one})
+                ),
+                "target": w,
+                "leftover": tgt.element_to_json(
+                    tgt.element({mon: ring.field.from_int(v) for mon, v in acc.items()})
+                ),
+            }
+    raise RuntimeError(f"the least failing lift at {env.x!r} cancels everywhere")
 
 
 @dataclass

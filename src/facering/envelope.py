@@ -272,10 +272,11 @@ class Envelope:
 
     def act_polynomial(self, f, elem):
         self.ring._check(f)
-        total = self.zero()
+        acc = {}
         for mon, c in f.terms.items():
-            total = total + self.act_monomial(mon, elem).scale(c)
-        return total
+            for key, v in self.act_monomial(mon, elem).terms.items():
+                add_term(acc, key, v * c)
+        return EnvelopeElement(self, acc)
 
     def act_tilde(self, z, elem):
         """Action of the straightened variable: a pure inverse-part shift,
@@ -297,6 +298,32 @@ class Envelope:
         for (lau, inv), c in elem.terms.items():
             out[(tuple(a + s for a, s in zip(lau, shift)), inv)] = c
         return EnvelopeElement(self, out)
+
+    # ---------- coordinates a descent moves ----------
+
+    def active_positions(self, w):
+        """The coordinates a descent from x down to w moves, as ascending
+        (Laurent positions, inverse positions): the atoms of x not below w
+        and the elements below x but not below w.
+
+        A cover step x > z copies the inverse exponents of the elements it
+        does not touch and shifts the Laurent exponents of the atoms it keeps
+        by an amount fixed by the removed atom's exponent and the inverse
+        exponents of the elements below x but not below z.  So along any
+        chain from x down to w each other (passive) coordinate comes out
+        translated by its own value: a composite's image of a monomial is its
+        image of the active projection (passive coordinates zero), translated.
+        """
+        poset = self.ring.poset
+        if not poset.leq(w, self.x):
+            raise ValueError(f"{w!r} is not below {self.x!r}")
+        lpos = tuple(i for i, a in enumerate(self.atoms) if not poset.leq(a, w))
+        ipos = tuple(
+            j
+            for j, y in enumerate(self.inv_vars)
+            if self._ileq[j] and not poset.leq(y, w)
+        )
+        return lpos, ipos
 
     # ---------- monomial enumeration ----------
 

@@ -106,13 +106,11 @@ class SimplicialPoset:
         self._rank = tuple(rank)
 
         self._lower = tuple(tuple(sorted(lower[i])) for i in range(n))
-        self._upper = tuple(tuple(sorted(upper[i])) for i in range(n))
         self.covers = tuple(
             (self.names[u], self.names[l]) for u, l in sorted(pairs)
         )
 
         self.atoms = tuple(x for x in self.names if self._rank[self._idx[x]] == 1)
-        self._atom_order = {a: k for k, a in enumerate(self.atoms)}
         self._atoms_below = tuple(
             tuple(a for a in self.atoms if self._idx[a] in below[i])
             for i in range(n)
@@ -181,9 +179,6 @@ class SimplicialPoset:
 
     def lower_covers(self, x):
         return tuple(self.names[i] for i in self._lower[self._idx[x]])
-
-    def upper_covers(self, x):
-        return tuple(self.names[i] for i in self._upper[self._idx[x]])
 
     def is_cover(self, u, l):
         return self._idx[l] in self._lower[self._idx[u]]

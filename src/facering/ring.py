@@ -15,6 +15,7 @@ independent inputs can be evaluated concurrently.
 from __future__ import annotations
 
 import re
+import weakref
 
 from .scalars import QQ, add_term
 
@@ -136,8 +137,10 @@ class PolyRing:
         self._rewrite = rw
 
         self._generators = None
-        self._envelopes = {}
-        self._covers = {}
+        # weak: envelopes and cover data point back at the ring, so a dropped
+        # ring is freed by reference counting, not by the cyclic collector
+        self._envelopes = weakref.WeakValueDictionary()
+        self._covers = weakref.WeakValueDictionary()
 
     def __repr__(self):
         return f"PolyRing({len(self.variables)} variables over {self.field!r})"

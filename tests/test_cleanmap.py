@@ -331,9 +331,3 @@ def test_neumann_reports_non_stabilization(ring_p1):
     inv = neumann_inverse(endo)
     with pytest.raises(StabilizationError):
         inv(env.element({mu: fld.one}))
-
-
-def test_scaled_map(ring_p1, psi):
-    two = ring_p1.field.from_int(2)
-    env = Envelope.of(ring_p1, "x")
-    assert psi.scaled(two)(env.unit()) == Envelope.of(ring_p1, "y1").unit().scale(two)

@@ -250,6 +250,23 @@ def test_roundtrip_element_checked_before_output(capsys):
         assert "of rank at least 2" in captured.err
 
 
+@pytest.mark.parametrize(
+    "poset, x, depth", [("p1", None, 1), ("solid_triangle", "123", 2)]
+)
+def test_roundtrip_depth_below_rank_is_a_usage_error(capsys, poset, x, depth):
+    # the perturbation acts through t[x]^-1, whose depth is rank(x), so a
+    # shallower box cannot show that it is not clean
+    at = ["--x", x] if x else []
+    argv = ["cleanmap", "--poset", poset, "--tau-roundtrip", *at, "--box", "1"]
+    code = main([*argv, "--depth", str(depth)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"needs --depth {depth + 1} or more" in captured.err
+    assert main([*argv, "--depth", str(depth + 1)]) == 0
+    assert "tau roundtrip at" in capsys.readouterr().out
+
+
 def test_cleanmap_cert_deterministic(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["cleanmap", "--poset", "p1", "--check-clean", "--depth", "3"]

@@ -1,4 +1,5 @@
-from itertools import product
+import random
+from itertools import combinations, product
 
 import pytest
 
@@ -16,6 +17,7 @@ from facering import (
     simplicial_oracle,
     verify_dd_zero,
 )
+from facering import complexes
 from facering.complexes import dd_sweep_size
 from facering.scalars import QQ, PrimeField
 
@@ -93,6 +95,70 @@ def test_dd_zero_matches_full_box_reference(name):
             passed, checked, witness, failing = reference_dd_sweep(flipped, lb, db, memo)
             assert (rep.passed, rep.checked, rep.witness) == (passed, checked, witness)
             assert _false_diamonds(rep) == {f"[{w} < {x}]" for w, x in failing}
+
+
+def _double_flips(gc, cap):
+    """cap pairs of covers drawn with a fixed seed: half of them the two
+    covers of one route through a rank-2 interval (their flips cancel in
+    that interval but not in its neighbours), the rest any other pairs."""
+    rng = random.Random(7)
+    routes = sorted(
+        tuple(sorted(((x, mids[0]), (mids[0], w))))
+        for w, x, mids in gc.ring.poset.rank2_intervals()
+    )
+    rest = sorted(set(combinations(sorted(gc.maps), 2)) - set(routes))
+    k = min(cap // 2, len(routes))
+    return rng.sample(routes, k) + rng.sample(rest, min(cap - k, len(rest)))
+
+
+def _flipped_twice(gc, pair):
+    return _flipped(_flipped(gc, pair[0]), pair[1])
+
+
+@pytest.mark.parametrize("name", ("p1", "double_triangle", "tetrahedron_boundary"))
+def test_dd_zero_matches_full_box_reference_under_double_flips(name):
+    ring = make_ring(name)
+    gc = build_gamma(ring)
+    memo = {}
+    for pair in _double_flips(gc, 6):
+        flipped = _flipped_twice(gc, pair)
+        rep = verify_dd_zero(flipped, laurent_bound=2, depth_bound=2)
+        passed, checked, witness, failing = reference_dd_sweep(flipped, 2, 2, memo)
+        assert (rep.passed, rep.checked, rep.witness) == (passed, checked, witness)
+        assert _false_diamonds(rep) == {f"[{w} < {x}]" for w, x in failing}, pair
+
+
+def test_dd_witness_raises_when_the_lift_cancels(monkeypatch):
+    # a stand-in leftover that fails on the active box but cancels wherever
+    # a Laurent exponent sits at -1, as every lift at laurent_bound 1 does
+    # on the rank-3 elements (each interval there has a passive atom)
+    gc = build_gamma(make_ring("tetrahedron_boundary"))
+    monkeypatch.setattr(
+        complexes, "_leftover", lambda routes, lau, inv: {} if -1 in lau else {0: 1}
+    )
+    with pytest.raises(RuntimeError, match="cancels"):
+        verify_dd_zero(gc, laurent_bound=1, depth_bound=0)
+
+
+def test_dd_witness_is_the_least_lift_at_the_least_target(monkeypatch):
+    # stand-in routes: only those labelled "fails" leave something behind
+    ring = make_ring("tetrahedron_boundary")
+    env, tgt = Envelope.of(ring, "123"), Envelope.of(ring, "1")
+    monkeypatch.setattr(
+        complexes,
+        "_leftover",
+        lambda routes, lau, inv: {tgt.unit_mon: 1} if routes == "fails" else {},
+    )
+    flat, deep = (0,) * env.ninv, (1,) + (0,) * (env.ninv - 1)
+    bad = [
+        ("3", "fails", ((1, 1, 1), flat)),
+        ("2", "cancels", ((-1, -1, -1), deep)),
+        ("1", "fails", ((1, 1, 0), deep)),
+    ]
+    wit = complexes._witness(env, bad)
+    # inverse part first, then Laurent part; targets by name
+    assert wit["monomial"] == env.element_to_json(env.element({((1, 1, 1), flat): 1}))
+    assert wit["target"] == "1"
 
 
 @pytest.mark.parametrize("name", ALL_BUNDLED)

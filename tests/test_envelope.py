@@ -1,3 +1,5 @@
+import gc
+import weakref
 from itertools import product
 
 import pytest
@@ -361,3 +363,59 @@ def test_negative_bounds_raise(ring_p1):
     for call in calls:
         with pytest.raises(ValueError, match="non-negative"):
             call()
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_active_positions_of_a_cover_is_its_removed_atom(name):
+    ring = make_ring(name)
+    poset = ring.poset
+    for u, l in poset.covers:
+        env = Envelope.of(ring, u)
+        lpos, ipos = env.active_positions(l)
+        assert [env.atoms[i] for i in lpos] == [poset.removed_atom(u, l)]
+        assert all(poset.leq(poset.removed_atom(u, l), env.inv_vars[j]) for j in ipos)
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_active_positions_on_rank2_intervals(name):
+    ring = make_ring(name)
+    poset = ring.poset
+    for w, x, _ in poset.rank2_intervals():
+        env = Envelope.of(ring, x)
+        gone = set(poset.atoms_below(x)) - set(poset.atoms_below(w))
+        want_i = [
+            j
+            for j, y in enumerate(env.inv_vars)
+            if poset.leq(y, x) and not poset.leq(y, w)
+        ]
+        lpos, ipos = env.active_positions(w)
+        assert {env.atoms[i] for i in lpos} == gone and len(lpos) == 2
+        assert list(ipos) == want_i, (w, x)
+
+
+def test_active_positions_need_an_element_below(ring_p1):
+    with pytest.raises(ValueError, match="not below"):
+        Envelope.of(ring_p1, "x").active_positions("z")
+
+
+def test_dropped_ring_is_freed_by_reference_counting():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ring = make_ring("tetrahedron_boundary")
+        env = Envelope.of(ring, "123")
+        m = cover_map(ring, "123", "12")
+        image = m(env.unit())
+        gamma = build_gamma(ring)
+        ref = weakref.ref(ring)
+        del ring, env, m, image, gamma
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_envelope_cache_keeps_a_held_envelope(ring_p1):
+    elem = Envelope.of(ring_p1, "x").unit()
+    gc.collect()
+    assert all(Envelope.of(ring_p1, "x") is elem.env for _ in range(3))
