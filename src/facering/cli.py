@@ -225,11 +225,12 @@ def cmd_cleanmap(args):
                 f"the roundtrip perturbs through t[{x}]^-1, of depth "
                 f"{poset.rank_of(x)}; it needs --depth {poset.rank_of(x)} or more"
             )
+    # held for the whole command, so each envelope is built once
+    maps = [(u, l, cover_map(ring, u, l)) for u, l in poset.covers]
     _warn_if_cleanmap_long(ring, run_clean, run_lin, x, args.box, args.depth)
     reports = []
     ok = True
-    for u, l in poset.covers:
-        m = cover_map(ring, u, l)
+    for u, l, m in maps:
         if run_clean:
             rep = check_clean(m, depth_bound=args.depth)
             reports.append({"cover": [u, l], **rep.to_json()})
@@ -294,8 +295,9 @@ def cmd_complex(args):
         print(f"match: {'true' if rep['match'] else 'false'}")
         ok = ok and bool(rep["match"])
     if args.dd:
-        _warn_if_dd_long(ring, args.box, args.depth)
+        # built first, so its maps hold every envelope the size count uses
         gc = build_gamma(ring)
+        _warn_if_dd_long(ring, args.box, args.depth)
         dd = verify_dd_zero(gc, laurent_bound=args.box, depth_bound=args.depth)
         rep["dd"] = dd.to_json()
         print(

@@ -1,66 +1,56 @@
-"""Exact dense linear algebra over an exact field: rank and kernel bases."""
+"""Exact dense linear algebra over an exact field: rank and kernel bases.
+
+Slice ranks of the scalar complex and annihilator kernels of the envelopes
+share one elimination, ``_reduce``.  The simplicial oracle in ``complexes``
+keeps its own, so that it stays an independent check.
+"""
 
 from __future__ import annotations
 
 
-def bareiss_rank(rows) -> int:
-    """Rank by fraction-free (two-step Bareiss) elimination.
+def _reduce(mat, ncols):
+    """Row-reduce mat in place to reduced echelon form over its field (exact
+    scalars, so no rounding) and return the pivot columns.
 
-    rows is a list of lists of exact scalars and is consumed.  Divisions by
-    the previous pivot are exact, so integer-valued rational input never
-    leaves the integers.
+    Each pivot row is scaled to a leading one and cleared from every other
+    row; rows already zero in the pivot column are skipped, not rescaled.
     """
-    m = len(rows)
-    if m == 0:
-        return 0
-    n = len(rows[0])
-    rank = 0
-    prev = None
-    for c in range(n):
-        p = next((i for i in range(rank, m) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[rank], rows[p] = rows[p], rows[rank]
-        piv = rows[rank][c]
-        pivot_row = rows[rank]
-        for i in range(rank + 1, m):
-            row = rows[i]
-            ric = row[c]
-            for j in range(c, n):
-                num = row[j] * piv - ric * pivot_row[j]
-                row[j] = num / prev if prev is not None else num
-        prev = piv
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def kernel_basis(rows, ncols: int, field):
-    """Basis of the right kernel of the matrix given by rows.
-
-    Row-reduces over the field (exact scalars, so no rounding), then reads
-    one kernel vector off each free column.
-    """
-    mat = [list(r) for r in rows]
     m = len(mat)
     pivots = []
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
         p = next((i for i in range(r, m) if mat[i][c]), None)
         if p is None:
             continue
         mat[r], mat[p] = mat[p], mat[r]
         piv = mat[r][c]
-        mat[r] = [v / piv for v in mat[r]]
+        mat[r] = row = [v / piv for v in mat[r]]
         for i in range(m):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+            f = mat[i][c]
+            if f and i != r:
+                mat[i] = [a - f * b for a, b in zip(mat[i], row)]
         pivots.append(c)
-        r += 1
-        if r == m:
-            break
+    return pivots
+
+
+def bareiss_rank(rows) -> int:
+    """Rank of the matrix given by rows, a list of lists of exact scalars,
+    which is consumed: ``_reduce`` row-reduces it in place over its field.
+
+    The elimination is Gauss-Jordan, not Bareiss; the name stays because
+    ``perfbench/profiling.py`` counts the calls to it.
+    """
+    return len(_reduce(rows, len(rows[0]) if rows else 0))
+
+
+def kernel_basis(rows, ncols: int, field):
+    """Basis of the right kernel of the matrix given by rows: one vector per
+    free column of the reduced echelon form, equal to one there and zero on
+    the other free columns."""
+    mat = [list(r) for r in rows]
+    pivots = _reduce(mat, ncols)
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):

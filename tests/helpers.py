@@ -2,7 +2,7 @@
 
 from itertools import combinations, product
 
-from facering import Envelope, PolyRing, bundled_poset, tau_coefficient
+from facering import Envelope, PolyRing, SimplicialPoset, bundled_poset, tau_coefficient
 from facering.scalars import QQ, add_term
 
 ALL_BUNDLED = (
@@ -20,6 +20,26 @@ COMPLEX_BUNDLED = (
     "tetrahedron_boundary",
     "two_disjoint_edges",
 )
+
+# the six-vertex real projective plane: its answers depend on the field
+RP2_FACETS = (
+    "124", "126", "135", "136", "145", "234", "235", "256", "346", "456",
+)
+
+
+def face_poset(facets):
+    """Face poset of the simplicial complex with these facets, each a string
+    of one-character vertex labels; a face is named by its sorted labels and
+    the empty face by "0"."""
+    faces = set()
+    for facet in facets:
+        for k in range(1, len(facet) + 1):
+            faces.update("".join(c) for c in combinations(sorted(facet), k))
+    names = ["0"] + sorted(faces, key=lambda f: (len(f), f))
+    covers = [
+        (f, f[:t] + f[t + 1:] or "0") for f in names[1:] for t in range(len(f))
+    ]
+    return SimplicialPoset(names, covers)
 
 
 def make_ring(name, field=QQ):

@@ -318,3 +318,24 @@ def test_prime_above_bound_is_usage_error(capsys):
     argv = ["ring", "--poset", "p1", "--field", "Fp", "--prime", str(2**89 - 1)]
     assert main(argv) == 2
     assert "bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["complex", "--dd", "--box", "1", "--depth", "1"],
+        ["cleanmap", "--box", "1", "--depth", "2"],
+        ["cleanmap", "--box", "1", "--depth", "3", "--tau-roundtrip"],
+    ],
+)
+def test_each_envelope_built_once(monkeypatch, capsys, argv):
+    built = []
+    init = Envelope.__init__
+
+    def counting_init(self, ring, x):
+        built.append(x)
+        init(self, ring, x)
+
+    monkeypatch.setattr(Envelope, "__init__", counting_init)
+    assert main(argv + ["--poset", "tetrahedron_boundary"]) == 0
+    assert sorted(built) == sorted(bundled_poset("tetrahedron_boundary").elements)

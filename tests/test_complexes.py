@@ -21,7 +21,14 @@ from facering import complexes
 from facering.complexes import dd_sweep_size
 from facering.scalars import QQ, PrimeField
 
-from helpers import ALL_BUNDLED, COMPLEX_BUNDLED, make_ring, reference_dd_sweep
+from helpers import (
+    ALL_BUNDLED,
+    COMPLEX_BUNDLED,
+    RP2_FACETS,
+    face_poset,
+    make_ring,
+    reference_dd_sweep,
+)
 
 
 def test_gamma_terms_p1(ring_p1):
@@ -373,6 +380,40 @@ def test_oracle_over_prime_field():
     sc = build_scalar_complex(poset, F2)
     a = (0, 0, 0, 0)
     assert cohomology_dims_at(sc, a) == simplicial_oracle(poset, a, F2)
+
+
+def test_rp2_at_zero_depends_on_the_field():
+    poset = face_poset(RP2_FACETS)
+    a = (0,) * len(poset.atoms)
+    f2 = {0: 0, -1: 0, -2: 1, -3: 1}
+    zero = {0: 0, -1: 0, -2: 0, -3: 0}
+    for field, want in ((QQ, zero), (PrimeField(2), f2), (PrimeField(3), zero)):
+        sc = build_scalar_complex(poset, field)
+        assert cohomology_dims_at(sc, a) == want, field
+        assert simplicial_oracle(poset, a, field) == want, field
+
+
+def test_oracle_uses_no_linalg(monkeypatch):
+    from facering import linalg
+
+    fields = (QQ, PrimeField(2))
+    cases = [
+        (name, a, field)
+        for name in COMPLEX_BUNDLED
+        for a in product(range(2), repeat=len(bundled_poset(name).atoms))
+        for field in fields
+    ]
+    want = [simplicial_oracle(bundled_poset(n), a, f) for n, a, f in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called into linalg")
+
+    for name, obj in list(vars(linalg).items()):
+        if callable(obj) and getattr(obj, "__module__", None) == linalg.__name__:
+            monkeypatch.setattr(linalg, name, refuse)
+    monkeypatch.setattr(complexes, "bareiss_rank", refuse)
+    got = [simplicial_oracle(bundled_poset(n), a, f) for n, a, f in cases]
+    assert got == want
 
 
 def test_euler_characteristic_consistency():
