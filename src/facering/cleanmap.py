@@ -28,7 +28,12 @@ class StabilizationError(RuntimeError):
 
 @dataclass
 class CertReport:
-    """Result of one bounded certification sweep."""
+    """Result of one bounded certification sweep.
+
+    ``checked`` counts monomials: for clean and linearity sweeps those that
+    passed before the first failure, or all of them on a pass (as every
+    cover map of a valid poset does); for a dd sweep the full box it covers.
+    """
 
     name: str
     bounds: dict
@@ -271,33 +276,41 @@ def nonclean_automorphism(ring, x, lam):
     return GradedEndomap(env, fn, label=f"unit-shift perturbation at {x}")
 
 
+def _sweep(name, bounds, monomials, probe):
+    """One certification sweep: probe each monomial in order and stop at the
+    first that returns a witness; checked counts the monomials before it."""
+    checked = 0
+    for mon in monomials:
+        witness = probe(mon)
+        if witness is not None:
+            return CertReport(name, bounds, False, checked=checked, witness=witness)
+        checked += 1
+    return CertReport(name, bounds, True, checked=checked)
+
+
 def check_clean(m, depth_bound=4):
     """Certify cleanness on all degree-zero positive-depth monomials of
     depth at most depth_bound (degree zero suffices: both sides of the
     condition are stable under the Laurent units that move degrees)."""
     src = m.source_env
     tgt = m.target_env
+    one = src.ring.field.one
+
+    def probe(mon):
+        e = EnvelopeElement(src, {mon: one})
+        img = m(e)
+        bad = tgt.L_defect(img)
+        if bad is None:
+            return None
+        return {
+            "input": src.element_to_json(e),
+            "image": tgt.element_to_json(img),
+            "offending": tgt.element_to_json(EnvelopeElement(tgt, {bad: one})),
+        }
+
     zero_deg = (0,) * src.ring.natoms
     mons = src.monomials_of_degree(zero_deg, depth_max=depth_bound, depth_min=1)
-    fld = src.ring.field
-    for k, mon in enumerate(mons):
-        img = m(EnvelopeElement(src, {mon: fld.one}))
-        bad = tgt.L_defect(img)
-        if bad is not None:
-            return CertReport(
-                "clean",
-                {"depth": depth_bound},
-                False,
-                checked=k + 1,
-                witness={
-                    "input": src.element_to_json(EnvelopeElement(src, {mon: fld.one})),
-                    "image": tgt.element_to_json(img),
-                    "offending": tgt.element_to_json(
-                        EnvelopeElement(tgt, {bad: fld.one})
-                    ),
-                },
-            )
-    return CertReport("clean", {"depth": depth_bound}, True, checked=len(mons))
+    return _sweep("clean", {"depth": depth_bound}, mons, probe)
 
 
 def check_linearity(m, laurent_bound=2, depth_bound=2):
@@ -306,42 +319,29 @@ def check_linearity(m, laurent_bound=2, depth_bound=2):
     src = m.source_env
     tgt = m.target_env
     ring = src.ring
-    fld = ring.field
-    bounds = {"laurent": laurent_bound, "depth": depth_bound}
-    checked = 0
-    for mon in src.monomial_box(laurent_bound, depth_bound):
-        e = EnvelopeElement(src, {mon: fld.one})
+    one = ring.field.one
+
+    def probe(mon):
+        e = EnvelopeElement(src, {mon: one})
         img = m(e)
         d = src.degree(mon)
-        for om in img.terms:
-            if tgt.degree(om) != d:
-                return CertReport(
-                    "graded linearity",
-                    bounds,
-                    False,
-                    checked=checked,
-                    witness={
-                        "reason": "degree not preserved",
-                        "input": src.element_to_json(e),
-                        "image": tgt.element_to_json(img),
-                    },
-                )
+        if any(tgt.degree(om) != d for om in img.terms):
+            return {
+                "reason": "degree not preserved",
+                "input": src.element_to_json(e),
+                "image": tgt.element_to_json(img),
+            }
         for w in ring.variables:
-            lhs = m(src.act_variable(w, e))
-            rhs = tgt.act_variable(w, img)
-            if lhs != rhs:
-                return CertReport(
-                    "graded linearity",
-                    bounds,
-                    False,
-                    checked=checked,
-                    witness={
-                        "reason": f"action of t[{w}] does not commute",
-                        "input": src.element_to_json(e),
-                    },
-                )
-        checked += 1
-    return CertReport("graded linearity", bounds, True, checked=checked)
+            if m(src.act_variable(w, e)) != tgt.act_variable(w, img):
+                return {
+                    "reason": f"action of t[{w}] does not commute",
+                    "input": src.element_to_json(e),
+                }
+        return None
+
+    bounds = {"laurent": laurent_bound, "depth": depth_bound}
+    mons = src.monomial_box(laurent_bound, depth_bound)
+    return _sweep("graded linearity", bounds, mons, probe)
 
 
 def tau_coefficient(phi, alpha, beta):
@@ -369,52 +369,52 @@ def tau_coefficient(phi, alpha, beta):
 def tau_map(phi):
     """The base-change conjugate of phi as an evaluable endomap.
 
-    Requires phi to preserve the unit up to a nonzero scalar.  Per input
-    monomial only finitely many output monomials can carry a coefficient
-    (their inverse parts are bounded by the input's), so values are computed
-    on demand and memoized.
+    Requires phi to preserve the unit up to a nonzero scalar.  The
+    coefficient of beta in tau(alpha) pairs phi(alpha - beta) with the
+    target unit, and only betas of alpha's degree with inverse part below
+    alpha's carry one.  Their differences gamma are exactly the degree-zero
+    monomials with inverse part componentwise below alpha's, so with
+    c(gamma) = tau_coefficient(phi, gamma, unit), tau(alpha) is the sum of
+    c(gamma) * (alpha - gamma) over those gamma.  That condition implies
+    depth(gamma) <= depth(alpha), so the nonzero pairings are kept up to the
+    deepest input so far, and each is computed once.
     """
     env = phi.source_env
-    c = tau_coefficient(phi, env.unit_mon, env.unit_mon)
+    unit = env.unit_mon
+    c = tau_coefficient(phi, unit, unit)
     if not c:
         raise ValueError("map kills the unit; no conjugate exists")
-    memo = {}
-
-    def candidates(alpha):
-        # the betas of alpha's degree whose inverse part lies below alpha's
-        inv_a = alpha[1]
-        for beta in env.monomials_of_degree(env.degree(alpha), env.depth(alpha)):
-            if all(b <= a for a, b in zip(inv_a, beta[1])):
-                yield beta
-
-    def tau_mono(alpha):
-        out = memo.get(alpha)
-        if out is None:
-            out = {}
-            for beta in candidates(alpha):
-                co = tau_coefficient(phi, alpha, beta)
-                if co:
-                    out[beta] = co
-            memo[alpha] = out
-        return out
+    zero_deg = (0,) * env.ring.natoms
+    pairings = [(unit, c)]
+    reached = 0
 
     def fn(elem):
+        nonlocal reached
         acc = {}
         for mon, c0 in elem.terms.items():
-            for beta, co in tau_mono(mon).items():
-                add_term(acc, beta, c0 * co)
+            depth = env.depth(mon)
+            if depth > reached:
+                for gamma in env.monomials_of_degree(zero_deg, depth, reached + 1):
+                    co = tau_coefficient(phi, gamma, unit)
+                    if co:
+                        pairings.append((gamma, co))
+                reached = depth
+            for gamma, co in pairings:
+                beta = tuple(tuple(a - g for a, g in zip(*p)) for p in zip(mon, gamma))
+                if all(e >= 0 for e in beta[1]):
+                    add_term(acc, beta, c0 * co)
         return EnvelopeElement(env, acc)
 
     return GradedEndomap(env, fn, label="base-change conjugate")
 
 
 def materialize_tau(phi, monomials):
-    """Conjugate endomap with its table precomputed on the given monomials."""
+    """Conjugate endomap with its series precomputed up to the deepest of
+    the given monomials."""
     t = tau_map(phi)
-    env = t.env
-    fld = env.ring.field
-    for mon in monomials:
-        t(EnvelopeElement(env, {mon: fld.one}))
+    deepest = max(monomials, key=t.env.depth, default=None)
+    if deepest is not None:
+        t(t.env.element({deepest: t.env.ring.field.one}))
     return t
 
 

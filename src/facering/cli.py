@@ -256,11 +256,9 @@ def cmd_cleanmap(args):
         env = Envelope.of(ring, x)
         box = list(env.monomial_box(args.box, depth_bound=args.depth))
         tau = materialize_tau(phi, box)
-        agree = all(
-            compose_maps(psi, tau)(env.element({mon: ring.field.one}))
-            == phi(env.element({mon: ring.field.one}))
-            for mon in box
-        )
+        psi_tau = compose_maps(psi, tau)
+        elems = (env.element({mon: ring.field.one}) for mon in box)
+        agree = all(psi_tau(e) == phi(e) for e in elems)
         tau_inv = neumann_inverse(tau)
         recovered = check_clean(compose_maps(phi, tau_inv), depth_bound=args.depth).passed
         roundtrip_ok = not_clean and agree and recovered

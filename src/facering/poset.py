@@ -203,10 +203,11 @@ class SimplicialPoset:
         return tuple(self.names[i] for i in sorted(minimal))
 
     def meet(self, a, b):
-        """Largest common lower bound, or None when the join set is empty."""
-        if not self.join_set((a, b)):
+        """Largest common lower bound, or None without a common upper bound."""
+        ia, ib = self._idx[a], self._idx[b]
+        if not self._above[ia] & self._above[ib]:
             return None
-        lbs = self._below[self._idx[a]] & self._below[self._idx[b]]
+        lbs = self._below[ia] & self._below[ib]
         top = max(lbs, key=lambda i: self._rank[i])
         if any(l not in self._below[top] for l in lbs):
             raise PosetError("no largest common lower bound; poset is not simplicial")

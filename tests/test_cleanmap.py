@@ -331,3 +331,78 @@ def test_neumann_reports_non_stabilization(ring_p1):
     inv = neumann_inverse(endo)
     with pytest.raises(StabilizationError):
         inv(env.element({mu: fld.one}))
+
+
+def test_check_clean_counts_monomials_before_the_failure(ring_p1, psi):
+    # the witness is the second degree-zero monomial; only the first passed
+    sigma = nonclean_automorphism(ring_p1, "x", ring_p1.field.one)
+    rep = check_clean(compose_maps(psi, sigma), depth_bound=4)
+    assert not rep.passed and rep.checked == 1
+
+
+def test_check_linearity_degree_witness(ring_p1):
+    env = Envelope.of(ring_p1, "x")
+    times_y1 = GradedEndomap(env, lambda e: env.act_variable("y1", e), "times t[y1]")
+    rep = check_linearity(times_y1, laurent_bound=1, depth_bound=1)
+    assert not rep.passed and rep.checked == 0
+    assert rep.witness["reason"] == "degree not preserved"
+    assert rep.witness["input"]["terms"] == [
+        {"laurent": {"y1": -1, "y2": -1}, "inverse": {}, "coeff": "1"}
+    ]
+    assert rep.witness["image"]["terms"] == [
+        {"laurent": {"y2": -1}, "inverse": {}, "coeff": "1"}
+    ]
+
+
+def test_check_linearity_commutation_witness(ring_p1):
+    # t[x] sends t[y1]^-1 t[y2]^-1 to the unit, which the projection keeps;
+    # the six box monomials before it commute with every variable
+    env = Envelope.of(ring_p1, "x")
+
+    def onto_unit(e):
+        c = e.terms.get(env.unit_mon)
+        return env.element({env.unit_mon: c} if c else {})
+
+    rep = check_linearity(
+        GradedEndomap(env, onto_unit, "unit projection"),
+        laurent_bound=2,
+        depth_bound=2,
+    )
+    assert not rep.passed and rep.checked == 6
+    assert rep.witness == {
+        "reason": "action of t[x] does not commute",
+        "input": {
+            "ambient": "x",
+            "terms": [{"laurent": {"y1": -1, "y2": -1}, "inverse": {}, "coeff": "1"}],
+        },
+    }
+
+
+def test_tau_coefficient_zero_above_alpha(ring_p1, psi):
+    # beta's inverse part exceeds alpha's, so phi is never applied
+    env = Envelope.of(ring_p1, "x")
+    calls = []
+    counted = compose_maps(
+        psi, GradedEndomap(env, lambda e: calls.append(e) or e, "counted")
+    )
+    alpha = env.monomial_key({"y1": 1, "y2": 1}, {"z": 1})
+    beta = env.monomial_key({"y1": 1, "y2": 1}, {"x": 1})
+    assert tau_coefficient(counted, alpha, beta) == ring_p1.field.zero
+    assert calls == []
+
+
+def test_tau_applies_phi_once_per_degree_zero_monomial():
+    ring = make_ring("tetrahedron_boundary")
+    env = Envelope.of(ring, "123")
+    psi = cover_map(ring, "123", ring.poset.lower_covers("123")[0])
+    phi = compose_maps(psi, nonclean_automorphism(ring, "123", ring.field.one))
+    calls = []
+    counted = compose_maps(
+        phi, GradedEndomap(env, lambda e: calls.append(e) or e, "counted")
+    )
+    box = list(env.monomial_box(2, 4))
+    tau = materialize_tau(counted, box)
+    for mon in box:
+        e = env.element({mon: ring.field.one})
+        assert compose_maps(psi, tau)(e) == phi(e)
+    assert len(calls) <= 1 + len(env.monomials_of_degree((0,) * 4, 4))

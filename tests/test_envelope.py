@@ -1,5 +1,6 @@
 import gc
 import weakref
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -9,7 +10,7 @@ from facering import Envelope, bundled_poset, PolyRing
 from facering.cleanmap import check_clean, check_linearity, cover_map
 from facering.complexes import _diamonds_below, build_gamma, verify_dd_zero
 from facering.envelope import bounded_vectors, count_bounded_vectors
-from facering.scalars import PrimeField
+from facering.scalars import QQ, PrimeField
 
 from helpers import (
     ALL_BUNDLED,
@@ -419,3 +420,26 @@ def test_envelope_cache_keeps_a_held_envelope(ring_p1):
     elem = Envelope.of(ring_p1, "x").unit()
     gc.collect()
     assert all(Envelope.of(ring_p1, "x") is elem.env for _ in range(3))
+
+
+F3 = PrimeField(3)
+
+
+@pytest.mark.parametrize(
+    "field, coeff, shown",
+    ((QQ, Fraction(-1, 2), "-1/2"), (F3, F3.from_int(-1), "2")),
+    ids=("Q", "F3"),
+)
+def test_element_printer(field, coeff, shown):
+    env = Envelope.of(PolyRing(bundled_poset("p1"), field), "x")
+    elem = (
+        env.unit()
+        + env.monomial({"y2": 1}, {"z": 2})
+        + env.monomial({"y1": 2, "y2": -1}, {"x": 1}, coeff=coeff)
+    )
+    assert env.format(env.zero()) == "0"
+    assert repr(env.zero()) == "<at x: 0>"
+    assert repr(elem) == (
+        f"<at x: ({shown})*(t[y1]^2*t[y2]^-1 (x) t[x]^-1)"
+        " + (1)*(t[y2] (x) t[z]^-2) + (1)*(1 (x) 1)>"
+    )

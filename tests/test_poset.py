@@ -4,7 +4,7 @@ import pytest
 
 from facering import PosetError, SimplicialPoset, bundled_poset, validate_simplicial
 
-from helpers import ALL_BUNDLED
+from helpers import ALL_BUNDLED, RP2_FACETS, face_poset
 
 
 def test_parse_p1(p1):
@@ -193,3 +193,15 @@ def test_json_roundtrip(p1):
     again = SimplicialPoset.from_json_obj(p1.to_json_obj())
     assert again.names == p1.names
     assert again.covers == p1.covers
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED + ("rp2",))
+def test_meet_matches_join_set_definition(name):
+    # the meet exists exactly when the join set is nonempty, and is then
+    # the common lower bound of top rank
+    p = face_poset(RP2_FACETS) if name == "rp2" else bundled_poset(name)
+    for a in p.elements:
+        for b in p.elements:
+            lower = [z for z in p.elements if p.leq(z, a) and p.leq(z, b)]
+            expected = max(lower, key=p.rank_of) if p.join_set((a, b)) else None
+            assert p.meet(a, b) == expected, (name, a, b)
