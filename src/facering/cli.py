@@ -176,14 +176,14 @@ def cmd_envelope(args):
     deg = _parse_vector(args.deg, ring.natoms, "degree")
     if any(v < 0 for v in deg):
         raise FieldError("degree entries must be non-negative")
+    if args.x and args.x not in poset:
+        raise PosetError(f"unknown element {args.x!r}")
     targets = [args.x] if args.x else list(poset.elements)
     print(f"annihilator dimensions at deg={list(deg)}, depth <= {args.depth}:")
     dims = {}
     expected = {}
     ok = True
     for x in targets:
-        if x not in poset:
-            raise PosetError(f"unknown element {x!r}")
         env = Envelope.of(ring, x)
         basis = env.annihilator_basis(deg, args.depth)
         dims[x] = len(basis)

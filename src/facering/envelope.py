@@ -22,6 +22,7 @@ pure, so parallel evaluation over degrees or elements is safe.
 from __future__ import annotations
 
 from itertools import product
+from operator import add
 
 from .linalg import kernel_basis
 from .scalars import add_term
@@ -235,29 +236,36 @@ class Envelope:
 
     # ---------- ring action ----------
 
+    def _step(self, z, mon):
+        """The monomials that the variable z sends mon to, each with
+        coefficient one.  An atom below x shifts the Laurent part; a
+        variable below x adds its face bump to the Laurent part and
+        contracts its inverse exponent; a variable not below x only
+        contracts, so it kills every monomial with exponent zero there."""
+        lau, inv = mon
+        i = self._apos.get(z)
+        if i is not None:
+            return [(lau[:i] + (lau[i] + 1,) + lau[i + 1:], inv)]
+        j = self._ipos[z]
+        bump = self._ibump[j]
+        out = []
+        if bump is not None:
+            out.append((tuple(map(add, lau, bump)), inv))
+        e = inv[j]
+        if e:
+            out.append((lau, inv[:j] + (e - 1,) + inv[j + 1:]))
+        return out
+
     def act_variable(self, z, elem):
         """Action of a single variable, monomial by monomial."""
         if z == self.ring.poset.bottom:
             raise ValueError("the bottom element carries no variable")
+        if z not in self._apos and z not in self._ipos:
+            raise ValueError(f"unknown variable {z!r}")
         out = {}
-        if z in self._apos:
-            i = self._apos[z]
-            for (lau, inv), c in elem.terms.items():
-                key = (lau[:i] + (lau[i] + 1,) + lau[i + 1:], inv)
+        for mon, c in elem.terms.items():
+            for key in self._step(z, mon):
                 add_term(out, key, c)
-        else:
-            if z not in self._ipos:
-                raise ValueError(f"unknown variable {z!r}")
-            j = self._ipos[z]
-            bump = self._ibump[j]
-            for (lau, inv), c in elem.terms.items():
-                if bump is not None:
-                    key = (tuple(a + b for a, b in zip(lau, bump)), inv)
-                    add_term(out, key, c)
-                e = inv[j]
-                if e > 0:
-                    key = (lau, inv[:j] + (e - 1,) + inv[j + 1:])
-                    add_term(out, key, c)
         return EnvelopeElement(self, out)
 
     def act_monomial(self, mon, elem):
@@ -443,7 +451,21 @@ class Envelope:
         """Basis of the degree-a elements of bounded depth killed by every
         defining relation, by exact linear algebra on the finite slice.
 
-        Truncation is exact because the action never raises depth.
+        Truncation is exact because the action never raises depth.  The
+        rows are built on the monomial tuples: each term of each relation
+        (``PolyRing.relation_terms``) walks every slice monomial through
+        ``_step``, one variable at a time, and the integer number of paths
+        into each target monomial, times the term's sign, is summed per
+        (relation, target) row and converted into the field once.
+
+        A term that contracts a variable not below x more times than the
+        monomial's inverse exponent there is skipped.  That is exact: such
+        a variable has no face projection at x, so its action on a monomial
+        is the contraction alone, and contracting e times kills every
+        monomial whose exponent there is below e.  Nothing is approximated.
+        The kernel is read off the reduced echelon form, which depends only
+        on the row space and the column order, so neither the skip nor the
+        order of the rows changes the returned basis.
         """
         a = tuple(a)
         if any(v < 0 for v in a):
@@ -452,15 +474,48 @@ class Envelope:
         if not mons:
             return []
         field = self.ring.field
+        names = self.ring.variables
+        # ring index -> inverse position of each variable that only contracts
+        dead = {}
+        for k, z in enumerate(names):
+            j = self._ipos.get(z)
+            if j is not None and not self._ileq[j]:
+                dead[k] = j
+        # those at zero on the whole slice drop every term they are in
+        top = [max(e) for e in zip(*(inv for _, inv in mons))]
+        broke = {k for k, j in dead.items() if not top[j]}
+        terms = []
+        for gi, ks, c in self.ring.relation_terms():
+            if broke.isdisjoint(ks):
+                # (inverse position, times contracted) of its dead variables
+                need = {}
+                for k in ks:
+                    if k in dead:
+                        need[dead[k]] = need.get(dead[k], 0) + 1
+                zs = [names[k] for k in ks]
+                terms.append((gi, zs[0], zs[1:], c, tuple(need.items())))
+        step = self._step
         rows = {}
-        for gi, f in enumerate(self.ring.generators()):
-            for k, m in enumerate(mons):
-                img = self.act_polynomial(f, EnvelopeElement(self, {m: field.one}))
-                for om, c in img.terms.items():
-                    row = rows.get((gi, om))
+        for col, mon in enumerate(mons):
+            inv = mon[1]
+            counts = {}
+            for gi, first, rest, c, need in terms:
+                for j, e in need:
+                    if inv[j] < e:
+                        break
+                else:
+                    ends = step(first, mon)
+                    for z in rest:
+                        ends = [t for m in ends for t in step(z, m)]
+                    for t in ends:
+                        key = (gi, t)
+                        counts[key] = counts.get(key, 0) + c
+            for key, n in counts.items():
+                if n:
+                    row = rows.get(key)
                     if row is None:
-                        row = rows[(gi, om)] = [field.zero] * len(mons)
-                    row[k] = row[k] + c
+                        row = rows[key] = [field.zero] * len(mons)
+                    row[col] = field.from_int(n)
         basis = kernel_basis(list(rows.values()), len(mons), field)
         return [
             EnvelopeElement(self, {mons[k]: v for k, v in enumerate(vec) if v})

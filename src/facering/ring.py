@@ -137,6 +137,7 @@ class PolyRing:
         self._rewrite = rw
 
         self._generators = None
+        self._relation_terms = None
         # weak: envelopes and cover data point back at the ring, so a dropped
         # ring is freed by reference counting, not by the cyclic collector
         self._envelopes = weakref.WeakValueDictionary()
@@ -245,6 +246,27 @@ class PolyRing:
                     out.append(terms)
             self._generators = tuple(out)
         return tuple(Polynomial(self, terms) for terms in self._generators)
+
+    def relation_terms(self):
+        """Every term of every defining relation, as (generator index, the
+        variable indices the term multiplies by, integer coefficient), in
+        the order of ``generators()``.
+
+        Built once per ring from the cached relations.  Their coefficients
+        are +1 and -1 only, so the integer coefficients are exact in every
+        field; a variable index appears once per unit of its exponent.
+        """
+        if self._relation_terms is None:
+            self.generators()
+            one = self.field.one
+            # in characteristic 2 the two keys coincide, and -1 is 1 there
+            sign = {one: 1, -one: -1}
+            self._relation_terms = tuple(
+                (gi, tuple(k for k, e in enumerate(mon) for _ in range(e)), sign[c])
+                for gi, terms in enumerate(self._generators)
+                for mon, c in terms.items()
+            )
+        return self._relation_terms
 
     def prime_generators(self, x):
         """Generators of the graded prime attached to x: the variables not

@@ -3,6 +3,8 @@
 from itertools import combinations, product
 
 from facering import Envelope, PolyRing, SimplicialPoset, bundled_poset, tau_coefficient
+from facering.envelope import bounded_vectors
+from facering.linalg import kernel_basis
 from facering.scalars import QQ, add_term
 
 ALL_BUNDLED = (
@@ -215,3 +217,60 @@ def reference_tau(phi, alpha):
         if co:
             out[beta] = co
     return out
+
+
+def reference_annihilator_basis(env, a, depth):
+    """Independent annihilator basis of the degree-a slice of depth at most
+    depth.
+
+    The slice is every inverse part of bounded depth on the variables whose
+    atoms all lie below x, with the Laurent part forced by the degree, kept
+    where the degree matches.  Every term of every defining relation acts on
+    every slice monomial through ``subset_expansion_action``, and the kernel
+    of the resulting rows is taken with ``kernel_basis``.  A relation whose
+    degree has an atom off x is left out: each of its terms (it is
+    homogeneous) has a variable with that atom, which is not below x, so it
+    acts by contraction alone, and its inverse exponent is zero on the
+    whole slice (or the degree would be negative at that atom).
+    """
+    ring = env.ring
+    field = ring.field
+    a = tuple(a)
+    outside = [g for g in range(ring.natoms) if g not in env._acoord]
+    if any(a[g] for g in outside):
+        # off the atoms of x the degree is minus the inverse part's
+        return []
+    free = [j for j, d in enumerate(env._ideg) if not any(d[g] for g in outside)]
+    mons = []
+    for vals in bounded_vectors([env._iweight[j] for j in free], depth):
+        inv = [0] * env.ninv
+        for j, e in zip(free, vals):
+            inv[j] = e
+        inv = tuple(inv)
+        lau = tuple(
+            a[g] + sum(e * env._ideg[j][g] for j, e in zip(free, vals))
+            for g in env._acoord
+        )
+        if env.degree((lau, inv)) == a:
+            mons.append((lau, inv))
+    if not mons:
+        return []
+    mons.sort()
+    offk = [
+        k for k, z in enumerate(ring.variables)
+        if any(ring.variable_degree(z)[g] for g in outside)
+    ]
+    rows = {}
+    for gi, f in enumerate(ring.generators()):
+        if any(map(next(iter(f.terms)).__getitem__, offk)):
+            continue
+        for exps, c in f.terms.items():
+            for col, mon in enumerate(mons):
+                img = subset_expansion_action(env, exps, env.element({mon: field.one}))
+                for t, v in img.terms.items():
+                    row = rows.setdefault((gi, t), [field.zero] * len(mons))
+                    row[col] = row[col] + c * v
+    basis = kernel_basis(list(rows.values()), len(mons), field)
+    return [
+        env.element({mons[k]: v for k, v in enumerate(vec)}) for vec in basis
+    ]

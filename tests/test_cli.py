@@ -92,6 +92,13 @@ def test_envelope_bad_degree(capsys):
     assert main(["envelope", "--poset", "p1", "--deg", "a,b"]) == 2
 
 
+def test_envelope_unknown_x_prints_nothing(capsys):
+    assert main(["envelope", "--poset", "p1", "--deg", "1,1", "--x", "nosuch"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown element 'nosuch'\n"
+
+
 def test_cleanmap_linearity_f2(capsys):
     code = main(
         ["cleanmap", "--poset", "p1", "--check-linearity", "--box", "2", "--field", "F2"]

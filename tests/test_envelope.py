@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from facering import Envelope, bundled_poset, PolyRing
+from facering import Envelope, EnvelopeElement, bundled_poset, PolyRing
 from facering.cleanmap import check_clean, check_linearity, cover_map
 from facering.complexes import _diamonds_below, build_gamma, verify_dd_zero
 from facering.envelope import bounded_vectors, count_bounded_vectors
@@ -14,9 +14,12 @@ from facering.scalars import QQ, PrimeField
 
 from helpers import (
     ALL_BUNDLED,
+    RP2_FACETS,
+    face_poset,
     make_ring,
     random_envelope_element,
     random_polynomial,
+    reference_annihilator_basis,
     subset_expansion_action,
 )
 
@@ -236,6 +239,63 @@ def test_annihilator_dimension_table(ring_p1):
 def test_annihilator_rejects_negative(env_x):
     with pytest.raises(ValueError):
         env_x.annihilator_basis((-1, 0), 2)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=repr)
+def test_annihilator_matches_reference(field):
+    """Bases equal, exactly, to the subset-expansion reference on every
+    element of every bundled poset and of RP^2, at 0/1 degrees (0/1/2 up to
+    four atoms) and depths 0-3."""
+    posets = [bundled_poset(name) for name in ALL_BUNDLED] + [face_poset(RP2_FACETS)]
+    for poset in posets:
+        ring = PolyRing(poset, field)
+        top = 2 if ring.natoms <= 4 else 1
+        for x in poset.elements:
+            env = Envelope.of(ring, x)
+            for a in product(range(top + 1), repeat=ring.natoms):
+                for depth in range(4):
+                    got = env.annihilator_basis(a, depth)
+                    assert got == reference_annihilator_basis(env, a, depth), (x, a, depth)
+
+
+def test_annihilator_skip_keeps_part_of_a_relation(ring_p1):
+    """At x in p1, z is not below x.  On the slice monomials with no z in
+    their inverse part the skip rule drops the t[z] term of
+    t[y1]*t[y2] - t[x] - t[z] and keeps the other two; t[z] kills those
+    monomials, so the basis is unchanged."""
+    env = Envelope.of(ring_p1, "x")
+    kz = ring_p1.variables.index("z")
+    jz = env.inv_vars.index("z")
+    assert not ring_p1.poset.leq("z", "x")
+    (gi,) = {gi for gi, ks, _ in ring_p1.relation_terms() if ks == (kz,)}
+    assert len([ks for g, ks, _ in ring_p1.relation_terms() if g == gi]) == 3
+    mons = env.monomials_of_degree((1, 1), depth_max=3)
+    skipped = [m for m in mons if m[1][jz] == 0]
+    assert skipped and len(skipped) < len(mons)
+    for m in skipped:
+        assert env.act_variable("z", env.element({m: ring_p1.field.one})).is_zero()
+    for field in (QQ, PrimeField(2), PrimeField(3)):
+        e = Envelope.of(PolyRing(ring_p1.poset, field), "x")
+        basis = e.annihilator_basis((1, 1), 3)
+        assert len(basis) == 1
+        assert basis == reference_annihilator_basis(e, (1, 1), 3)
+
+
+def test_annihilator_builds_one_element_per_basis_vector(monkeypatch):
+    env = Envelope.of(make_ring("tetrahedron_boundary"), "123")
+    built = []
+    init = EnvelopeElement.__init__
+
+    def counting_init(self, owner, terms):
+        built.append(terms)
+        init(self, owner, terms)
+
+    monkeypatch.setattr(EnvelopeElement, "__init__", counting_init)
+    for a, depth in (((1, 1, 1, 0), 3), ((1, 1, 0, 0), 2), ((2, 1, 1, 0), 3)):
+        assert len(env.monomials_of_degree(a, depth)) > 1
+        built.clear()
+        basis = env.annihilator_basis(a, depth)
+        assert basis and len(built) == len(basis)
 
 
 def test_essential_witness_examples(env_x, ring_p1):

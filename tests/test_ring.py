@@ -4,10 +4,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from facering import PolyRing
-from facering.scalars import QQ
+from facering import PolyRing, bundled_poset
+from facering.scalars import QQ, PrimeField
 
-from helpers import make_ring, random_polynomial
+from helpers import ALL_BUNDLED, RP2_FACETS, face_poset, make_ring, random_polynomial
 
 
 # ---------- grading ----------
@@ -132,6 +132,23 @@ def test_generators_homogeneous():
         ring = make_ring(name)
         for f in ring.generators():
             assert f.is_homogeneous()
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED + ("RP2",))
+def test_relation_terms_list_the_generators(name):
+    poset = face_poset(RP2_FACETS) if name == "RP2" else bundled_poset(name)
+    for field in (QQ, PrimeField(2), PrimeField(3)):
+        ring = PolyRing(poset, field)
+        table = ring.relation_terms()
+        assert ring.relation_terms() is table
+        rebuilt = [{} for _ in ring.generators()]
+        for gi, ks, c in table:
+            mon = [0] * ring.nvars
+            for k in ks:
+                mon[k] += 1
+            assert tuple(mon) not in rebuilt[gi]
+            rebuilt[gi][tuple(mon)] = field.from_int(c)
+        assert rebuilt == [f.terms for f in ring.generators()]
 
 
 def test_prime_generators_p1(ring_p1):
