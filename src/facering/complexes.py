@@ -205,18 +205,26 @@ def _slice_members(sc: ScalarComplex, a, i):
     ]
 
 
-def differential_matrix(sc: ScalarComplex, a, i):
-    """Degree-a slice of the map from rank i to rank i-1, with its row and
-    column labels."""
-    cols = _slice_members(sc, a, i)
-    rows = _slice_members(sc, a, i - 1)
+def _integer_slice(sc: ScalarComplex, rows, cols):
+    """Integer incidence signs of the map from the elements cols, of one
+    rank, to the elements rows, of the rank below: one row per element of
+    rows."""
     ridx = {x: k for k, x in enumerate(rows)}
-    fld = sc.field
-    mat = [[fld.zero] * len(cols) for _ in rows]
+    mat = [[0] * len(cols) for _ in rows]
     for j, x in enumerate(cols):
         for l in sc.poset.lower_covers(x):
             if l in ridx:
-                mat[ridx[l]][j] = fld.from_int(sc.signs[(x, l)])
+                mat[ridx[l]][j] = sc.signs[(x, l)]
+    return mat
+
+
+def differential_matrix(sc: ScalarComplex, a, i):
+    """Degree-a slice of the map from rank i to rank i-1 over the complex's
+    field, with its row and column labels."""
+    cols = _slice_members(sc, a, i)
+    rows = _slice_members(sc, a, i - 1)
+    fld = sc.field
+    mat = [[fld.from_int(v) for v in r] for r in _integer_slice(sc, rows, cols)]
     return mat, rows, cols
 
 
@@ -229,13 +237,14 @@ def cohomology_dims_at(sc: ScalarComplex, a):
     d = sc.poset.max_rank
     if any(v < 0 for v in a):
         return {-i: 0 for i in range(d + 1)}
-    term_dims = {i: len(_slice_members(sc, a, i)) for i in range(d + 1)}
+    members = [_slice_members(sc, a, i) for i in range(d + 1)]
     ranks = {}
     for i in range(1, d + 1):
-        mat, rows, cols = differential_matrix(sc, a, i)
-        ranks[i] = bareiss_rank(mat) if rows and cols else 0
+        rows, cols = members[i - 1], members[i]
+        if rows and cols:
+            ranks[i] = bareiss_rank(_integer_slice(sc, rows, cols), sc.field)
     return {
-        -i: term_dims[i] - ranks.get(i, 0) - ranks.get(i + 1, 0)
+        -i: len(members[i]) - ranks.get(i, 0) - ranks.get(i + 1, 0)
         for i in range(d + 1)
     }
 

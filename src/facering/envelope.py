@@ -456,7 +456,8 @@ class Envelope:
         (``PolyRing.relation_terms``) walks every slice monomial through
         ``_step``, one variable at a time, and the integer number of paths
         into each target monomial, times the term's sign, is summed per
-        (relation, target) row and converted into the field once.
+        (relation, target) row.  The rows stay integers: ``kernel_basis``
+        reduces them into the field before it eliminates.
 
         A term that contracts a variable not below x more times than the
         monomial's inverse exponent there is skipped.  That is exact: such
@@ -470,10 +471,22 @@ class Envelope:
         a = tuple(a)
         if any(v < 0 for v in a):
             raise ValueError("degree must be componentwise non-negative")
-        mons = self.monomials_of_degree(a, depth_max=depth_bound)
+        mons, rows = self._annihilator_rows(a, depth_bound)
         if not mons:
             return []
-        field = self.ring.field
+        basis = kernel_basis(rows, len(mons), self.ring.field)
+        return [
+            EnvelopeElement(self, {mons[k]: v for k, v in enumerate(vec) if v})
+            for vec in basis
+        ]
+
+    def _annihilator_rows(self, a, depth_bound):
+        """The degree-a slice monomials of depth at most depth_bound, and the
+        integer rows whose kernel ``annihilator_basis`` returns, one per
+        (relation, target) with a nonzero path count."""
+        mons = self.monomials_of_degree(a, depth_max=depth_bound)
+        if not mons:
+            return mons, []
         names = self.ring.variables
         # ring index -> inverse position of each variable that only contracts
         dead = {}
@@ -514,13 +527,9 @@ class Envelope:
                 if n:
                     row = rows.get(key)
                     if row is None:
-                        row = rows[key] = [field.zero] * len(mons)
-                    row[col] = field.from_int(n)
-        basis = kernel_basis(list(rows.values()), len(mons), field)
-        return [
-            EnvelopeElement(self, {mons[k]: v for k, v in enumerate(vec) if v})
-            for vec in basis
-        ]
+                        row = rows[key] = [0] * len(mons)
+                    row[col] = n
+        return mons, list(rows.values())
 
     def essential_witness(self, elem):
         """Polynomial f with f * elem a nonzero member of the embedded

@@ -25,6 +25,10 @@ class Rationals:
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
 
+    def ratio(self, n: int, d: int) -> Fraction:
+        """n/d for ints n and d != 0, built as one scalar."""
+        return Fraction(n, d)
+
     def binomial(self, n: int, k: int) -> Fraction:
         return Fraction(math.comb(n, k))
 
@@ -131,6 +135,10 @@ class PrimeField:
 
     def from_int(self, n: int) -> FpElement:
         return FpElement(n, self.p)
+
+    def ratio(self, n: int, d: int) -> FpElement:
+        """n/d for ints n and d not divisible by p, built as one scalar."""
+        return FpElement(n * pow(d, -1, self.p), self.p)
 
     def binomial(self, n: int, k: int) -> FpElement:
         return FpElement(math.comb(n, k), self.p)

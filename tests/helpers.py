@@ -270,7 +270,65 @@ def reference_annihilator_basis(env, a, depth):
                 for t, v in img.terms.items():
                     row = rows.setdefault((gi, t), [field.zero] * len(mons))
                     row[col] = row[col] + c * v
-    basis = kernel_basis(list(rows.values()), len(mons), field)
+    rows = [[field_to_int(field, v) for v in row] for row in rows.values()]
+    basis = kernel_basis(rows, len(mons), field)
     return [
         env.element({mons[k]: v for k, v in enumerate(vec)}) for vec in basis
     ]
+
+
+def field_to_int(field, v):
+    """The int whose image in field is v: its residue over F_p, and v itself
+    over Q, where v must be integral."""
+    if field.char:
+        return v.val
+    if v.denominator != 1:
+        raise ValueError(f"{v} is not an integer")
+    return v.numerator
+
+
+def reference_reduce(mat, ncols):
+    """Field-scalar Gauss-Jordan: row-reduce mat, a list of lists of field
+    scalars, in place to reduced echelon form with leading ones, and return
+    the pivot columns.  Integer-free, so ``linalg`` is checked against it."""
+    m = len(mat)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if mat[i][c]), None)
+        if p is None:
+            continue
+        mat[r], mat[p] = mat[p], mat[r]
+        piv = mat[r][c]
+        mat[r] = row = [v / piv for v in mat[r]]
+        for i in range(m):
+            f = mat[i][c]
+            if f and i != r:
+                mat[i] = [a - f * b for a, b in zip(mat[i], row)]
+        pivots.append(c)
+    return pivots
+
+
+def reference_rank(rows, field):
+    """Rank over field of integer rows, by ``reference_reduce``."""
+    mat = [[field.from_int(v) for v in r] for r in rows]
+    return len(reference_reduce(mat, len(rows[0]) if rows else 0))
+
+
+def reference_kernel_basis(rows, ncols, field):
+    """Kernel basis over field of integer rows, read off
+    ``reference_reduce`` the way ``linalg.kernel_basis`` reads its form."""
+    mat = [[field.from_int(v) for v in r] for r in rows]
+    pivots = reference_reduce(mat, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [field.zero] * ncols
+        vec[f] = field.one
+        for i, c in enumerate(pivots):
+            vec[c] = -mat[i][f]
+        basis.append(vec)
+    return basis
