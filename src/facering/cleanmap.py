@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import itemgetter
 
 from .envelope import Envelope, EnvelopeElement, bounded_vectors
 from .scalars import add_term
@@ -33,6 +34,9 @@ class CertReport:
     ``checked`` counts monomials: for clean and linearity sweeps those that
     passed before the first failure, or all of them on a pass (as every
     cover map of a valid poset does); for a dd sweep the full box it covers.
+    A passing linearity report of a ``CleanMap``, like a dd report, holds for
+    every value of the passive coordinates, and its ``checked`` still counts
+    the full box.
     """
 
     name: str
@@ -160,7 +164,19 @@ class CoverData:
 
 class CleanMap:
     """Composite of cover steps along a saturated chain, sending the source
-    unit to the target unit."""
+    unit to the target unit.
+
+    A composite kills what its removed atoms kill: it is zero on every
+    monomial with a positive Laurent exponent at an atom of the source that
+    is not below the target (the Laurent positions of
+    ``Envelope.active_positions(target)``).  Each cover step maps a monomial
+    with a positive exponent at its removed atom to zero, and adds only
+    non-negative bumps to the exponents of the atoms it keeps, so an atom's
+    exponent never falls before the step that removes it.  A chain of two or
+    more covers drops those monomials before its first step; they produce
+    no term at all, so the image is the same.  A single cover already stops
+    at its removed atom.
+    """
 
     def __init__(self, ring, chain):
         chain = tuple(chain)
@@ -178,12 +194,18 @@ class CleanMap:
         self.source, self.target = chain[0], chain[-1]
         self.source_env = Envelope.of(ring, self.source)
         self.target_env = Envelope.of(ring, self.target)
+        # a chain of k covers removes k atoms; at k > 1 itemgetter gives tuples
+        lpos, _ = self.source_env.active_positions(self.target)
+        self._removed = itemgetter(*lpos) if len(lpos) > 1 else None
 
     def __call__(self, elem):
         if elem.env is not self.source_env:
             raise ValueError("element lives in a different envelope")
         fld = self.ring.field
         terms = elem.terms
+        removed = self._removed
+        if removed is not None:
+            terms = {m: c for m, c in terms.items() if max(removed(m[0])) <= 0}
         for cd in self.covers:
             nxt = {}
             for (lau, inv), c in terms.items():
@@ -313,15 +335,15 @@ def check_clean(m, depth_bound=4):
     return _sweep("clean", {"depth": depth_bound}, mons, probe)
 
 
-def check_linearity(m, laurent_bound=2, depth_bound=2):
-    """Certify degree preservation and commutation with every variable on a
-    finite monomial box."""
+def _linearity_probe(m):
+    """Probe of one source monomial for ``check_linearity``: None when m
+    keeps its degree and commutes there with each of the given variables
+    (all of them by default), else a witness."""
     src = m.source_env
     tgt = m.target_env
-    ring = src.ring
-    one = ring.field.one
+    one = src.ring.field.one
 
-    def probe(mon):
+    def probe(mon, variables=src.ring.variables):
         e = EnvelopeElement(src, {mon: one})
         img = m(e)
         d = src.degree(mon)
@@ -331,7 +353,7 @@ def check_linearity(m, laurent_bound=2, depth_bound=2):
                 "input": src.element_to_json(e),
                 "image": tgt.element_to_json(img),
             }
-        for w in ring.variables:
+        for w in variables:
             if m(src.act_variable(w, e)) != tgt.act_variable(w, img):
                 return {
                     "reason": f"action of t[{w}] does not commute",
@@ -339,7 +361,74 @@ def check_linearity(m, laurent_bound=2, depth_bound=2):
                 }
         return None
 
+    return probe
+
+
+def _passive_lifts(env, ipos, depth_bound):
+    """(inverse position, variable, depth left) for each passive inverse
+    coordinate whose unit fits within depth_bound."""
+    return [
+        (j, z, depth_bound - w)
+        for j, (z, w) in enumerate(zip(env.inv_vars, env._iweight))
+        if j not in ipos and w <= depth_bound
+    ]
+
+
+def _active_linearity_sweep(env, w, laurent_bound, depth_bound):
+    """(monomial, variables) pairs the linearity sweep of a ``CleanMap``
+    from env.x down to w probes, in order; see ``check_linearity``."""
+    lpos, ipos = env.active_positions(w)
+    for mon in env.monomial_box(laurent_bound, depth_bound, lpos, ipos):
+        yield mon, env.ring.variables
+    for j, z, rest in _passive_lifts(env, ipos, depth_bound):
+        for lau, inv in env.monomial_box(laurent_bound, rest, lpos, ipos):
+            yield (lau, inv[:j] + (1,) + inv[j + 1:]), (z,)
+
+
+def linearity_sweep_size(env, w, laurent_bound, depth_bound):
+    """Number of monomials ``check_linearity`` probes on a passing
+    ``CleanMap`` from env.x down to w: the active box, and for each passive
+    inverse coordinate the active box of the depth its unit leaves."""
+    lpos, ipos = env.active_positions(w)
+    return env.box_size(laurent_bound, depth_bound, lpos, ipos) + sum(
+        env.box_size(laurent_bound, rest, lpos, ipos)
+        for _, _, rest in _passive_lifts(env, ipos, depth_bound)
+    )
+
+
+def check_linearity(m, laurent_bound=2, depth_bound=2):
+    """Certify degree preservation and commutation with every variable on a
+    finite monomial box.
+
+    A ``CleanMap`` is swept over its active coordinates only.  Its image of
+    a monomial is that of the monomial's active part (passive coordinates
+    zero), translated by the passive coordinates
+    (``Envelope.active_positions``); degrees add under the translation, so
+    the degree test runs on the active box.  A variable v acts by a sum of
+    fixed shifts, which commute with the translation, except the contraction
+    at v's own inverse coordinate, which kills exponent zero.  Where that
+    coordinate is passive it is copied to the image, so both sides lose the
+    contraction at zero and keep it at every positive value, where they are
+    translates of their values at one.  So v is probed on the active box and
+    on the active box with v's own coordinate at one (depth at most
+    depth_bound either way), and a pass holds for every value of the passive
+    coordinates.  On a pass ``checked`` counts the full box; on a failure
+    (only a broken map fails) the full box is swept again for the first
+    failing monomial and the count before it.  Any other map is swept over
+    the full box.
+    """
     bounds = {"laurent": laurent_bound, "depth": depth_bound}
+    src = m.source_env
+    probe = _linearity_probe(m)
+    if isinstance(m, CleanMap):
+        sweep = _active_linearity_sweep(src, m.target, laurent_bound, depth_bound)
+        if all(probe(mon, vs) is None for mon, vs in sweep):
+            return CertReport(
+                "graded linearity",
+                bounds,
+                True,
+                checked=src.box_size(laurent_bound, depth_bound),
+            )
     mons = src.monomial_box(laurent_bound, depth_bound)
     return _sweep("graded linearity", bounds, mons, probe)
 

@@ -22,6 +22,7 @@ from .cleanmap import (
     check_linearity,
     compose_maps,
     cover_map,
+    linearity_sweep_size,
     materialize_tau,
     neumann_inverse,
     nonclean_automorphism,
@@ -102,17 +103,17 @@ def _warn_if_dd_long(ring, laurent_bound, depth_bound):
 
 def _warn_if_cleanmap_long(ring, run_clean, run_lin, x, laurent_bound, depth_bound):
     """Exact number of source monomials the selected cleanmap sweeps walk:
-    per cover, the clean sweep's degree-zero monomials and the linearity
-    box; for a roundtrip at x (None for none), the box at x.  Warn, don't
-    stop."""
+    per cover, the clean sweep's degree-zero monomials and the monomials the
+    active linearity sweep probes; for a roundtrip at x (None for none), the
+    box at x.  Warn, don't stop."""
     zero = (0,) * ring.natoms
     size = 0
-    for u, _ in ring.poset.covers:
+    for u, l in ring.poset.covers:
         env = Envelope.of(ring, u)
         if run_clean:
             size += len(env.monomials_of_degree(zero, depth_bound, depth_min=1))
         if run_lin:
-            size += env.box_size(laurent_bound, depth_bound)
+            size += linearity_sweep_size(env, l, laurent_bound, depth_bound)
     if x is not None:
         size += Envelope.of(ring, x).box_size(laurent_bound, depth_bound)
     _warn_if_long("the cleanmap sweeps expand", size)
@@ -188,7 +189,7 @@ def cmd_envelope(args):
         basis = env.annihilator_basis(deg, args.depth)
         dims[x] = len(basis)
         supp = {poset.atoms[g] for g, v in enumerate(deg) if v > 0}
-        expected[x] = 1 if supp <= set(poset.atoms_below(x)) else 0
+        expected[x] = 1 if supp <= poset.atom_set(x) else 0
         status = "ok" if dims[x] == expected[x] else "MISMATCH"
         ok = ok and dims[x] == expected[x]
         print(f"{x}: dim={dims[x]} expected={expected[x]} {status}")

@@ -65,15 +65,15 @@ def _diamonds_below(env):
 
 def dd_sweep_size(ring, laurent_bound, depth_bound):
     """Number of source monomials ``verify_dd_zero`` expands at these bounds:
-    over every rank-2 interval, the active Laurent box times the active
-    inverse vectors."""
+    over every rank-2 interval, the (laurent_bound + 1)**2 exponents of its
+    two removed atoms times the active inverse vectors."""
     total = 0
     for x in ring.poset.elements:
         if ring.poset.rank_of(x) < 2:
             continue
         env = Envelope.of(ring, x)
         for _, _, lpos, ipos in _diamonds_below(env):
-            total += env.box_size(laurent_bound, depth_bound, lpos, ipos)
+            total += env.box_size(laurent_bound, depth_bound, lpos, ipos, 0)
     return total
 
 
@@ -83,11 +83,15 @@ def verify_dd_zero(gc: EnvelopeComplex, laurent_bound=3, depth_bound=3) -> CertR
 
     Both composites of an interval [w < x] move only the coordinates
     ``Envelope.active_positions(w)`` names, so each interval is swept over
-    those alone (Laurent exponents in [-laurent_bound, laurent_bound],
-    inverse depth at most depth_bound, the rest zero), and a pass holds for
-    every value of the passive coordinates.  ``checked`` counts the full box
-    the sweep covers: at each x of rank at least two, the Laurent box over
-    its atoms times its inverse vectors of bounded depth.
+    those alone (inverse depth at most depth_bound, the rest zero), and a
+    pass holds for every value of the passive coordinates.  The active
+    Laurent positions are the interval's two removed atoms, and a composite
+    of covers kills every monomial with a positive exponent at one of them
+    (``CleanMap``), so their exponents run over [-laurent_bound, 0] only:
+    the monomials left out have leftover zero.  ``checked`` counts the full
+    box the sweep covers: at each x of rank at least two, the Laurent box
+    [-laurent_bound, laurent_bound] over its atoms times its inverse vectors
+    of bounded depth.
 
     The witness is the first full-box monomial, in ``monomial_box`` order,
     of the first x with a failing interval, with its leftover at the least
@@ -95,8 +99,8 @@ def verify_dd_zero(gc: EnvelopeComplex, laurent_bound=3, depth_bound=3) -> CertR
     active projection does, and of the monomials with one active part the
     least has passive Laurent exponents -laurent_bound and passive inverse
     exponents zero.  So each interval's first failing active monomial,
-    lifted that way, is its first failing full-box monomial, and the witness
-    is the least lift.
+    lifted that way, is its first failing full-box monomial (the skipped
+    monomials do not fail), and the witness is the least lift.
 
     Coefficients stay in exact integers: the expansion coefficients are
     binomial counts and the signs are units, so vanishing over the integers
@@ -119,7 +123,7 @@ def verify_dd_zero(gc: EnvelopeComplex, laurent_bound=3, depth_bound=3) -> CertR
                     (s1, m1), (s2, m2) = gc.maps[(x, z)], gc.maps[(z, w)]
                     (cd1,), (cd2,) = m1.covers, m2.covers
                     routes.append((s1 * s2, cd1, cd2))
-                box = env.monomial_box(laurent_bound, depth_bound, lpos, ipos)
+                box = env.monomial_box(laurent_bound, depth_bound, lpos, ipos, 0)
                 first = next((mon for mon in box if _leftover(routes, *mon)), None)
                 diamonds[(w, x)] = first is None
                 if first is not None:
@@ -196,13 +200,9 @@ def build_scalar_complex(poset, field=QQ) -> ScalarComplex:
 
 
 def _slice_members(sc: ScalarComplex, a, i):
-    atoms = sc.poset.atoms
-    supp = {atoms[g] for g, v in enumerate(a) if v > 0}
-    return [
-        x
-        for x in sc.terms.get(i, ())
-        if supp <= set(sc.poset.atoms_below(x))
-    ]
+    poset = sc.poset
+    supp = {poset.atoms[g] for g, v in enumerate(a) if v > 0}
+    return [x for x in sc.terms.get(i, ()) if supp <= poset.atom_set(x)]
 
 
 def _integer_slice(sc: ScalarComplex, rows, cols):

@@ -148,7 +148,7 @@ class Envelope:
         bumps = []
         for z, under in zip(self.inv_vars, self._ileq):
             if under:
-                zat = set(poset.atoms_below(z))
+                zat = poset.atom_set(z)
                 bumps.append(tuple(1 if a in zat else 0 for a in self.atoms))
             else:
                 bumps.append(None)
@@ -397,32 +397,39 @@ class Envelope:
         out.sort()
         return out
 
-    def monomial_box(self, laurent_bound, depth_bound=0, lpos=None, ipos=None):
+    def monomial_box(
+        self, laurent_bound, depth_bound=0, lpos=None, ipos=None, laurent_max=None
+    ):
         """Iterate the basis monomials with Laurent exponents in
         [-laurent_bound, laurent_bound] and depth at most depth_bound: inverse
         part outermost, each part in lexicographic order.
 
         Given Laurent positions lpos and inverse positions ipos (ascending
         tuples), only the monomials that are zero off them, in the same
-        order.
+        order.  Given laurent_max, the Laurent exponents run over
+        [-laurent_bound, laurent_max] instead, still in the same order.
         """
         _check_bound(laurent_bound, "Laurent bound")
         invs = self._inverse_vectors(depth_bound, ipos)
         lpos = range(self.natoms) if lpos is None else lpos
-        rng = range(-laurent_bound, laurent_bound + 1)
+        top = laurent_bound if laurent_max is None else laurent_max
+        rng = range(-laurent_bound, top + 1)
         return (
             (lau, inv)
             for inv in invs
             for lau in _spread(self.natoms, lpos, product(rng, repeat=len(lpos)))
         )
 
-    def box_size(self, laurent_bound, depth_bound=0, lpos=None, ipos=None):
+    def box_size(
+        self, laurent_bound, depth_bound=0, lpos=None, ipos=None, laurent_max=None
+    ):
         """Number of monomials ``monomial_box`` yields at the same arguments."""
         _check_bound(laurent_bound, "Laurent bound")
         nlau = self.natoms if lpos is None else len(lpos)
+        top = laurent_bound if laurent_max is None else laurent_max
         pos = range(self.ninv) if ipos is None else ipos
         weights = [self._iweight[j] for j in pos]
-        return (2 * laurent_bound + 1) ** nlau * count_bounded_vectors(
+        return (laurent_bound + top + 1) ** nlau * count_bounded_vectors(
             weights, depth_bound
         )
 

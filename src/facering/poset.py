@@ -115,6 +115,7 @@ class SimplicialPoset:
             tuple(a for a in self.atoms if self._idx[a] in below[i])
             for i in range(n)
         )
+        self._atom_sets = tuple(frozenset(t) for t in self._atoms_below)
         self._is_complex = None
 
     # ---------- construction ----------
@@ -186,6 +187,10 @@ class SimplicialPoset:
     def atoms_below(self, x):
         """Atoms under x, listed in the global atom order."""
         return self._atoms_below[self._idx[x]]
+
+    def atom_set(self, x):
+        """Atoms under x, as a frozenset."""
+        return self._atom_sets[self._idx[x]]
 
     # ---------- joins, meets, signs ----------
 

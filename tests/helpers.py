@@ -332,3 +332,72 @@ def reference_kernel_basis(rows, ncols, field):
             vec[c] = -mat[i][f]
         basis.append(vec)
     return basis
+
+
+def reference_linearity_sweep(m, laurent_bound, depth_bound):
+    """Independent full-box linearity sweep: every monomial of the full box,
+    in ``monomial_box`` order, must keep its degree under m and commute
+    there with every variable.  Returns the pass flag, the number of
+    monomials before the first failure (all of them on a pass) and the
+    witness of that failure, laid out as ``check_linearity``'s."""
+    src = m.source_env
+    tgt = m.target_env
+    one = src.ring.field.one
+    checked = 0
+    for mon in src.monomial_box(laurent_bound, depth_bound):
+        e = src.element({mon: one})
+        img = m(e)
+        d = src.degree(mon)
+        if any(tgt.degree(t) != d for t in img.terms):
+            return False, checked, {
+                "reason": "degree not preserved",
+                "input": src.element_to_json(e),
+                "image": tgt.element_to_json(img),
+            }
+        for w in src.ring.variables:
+            if m(src.act_variable(w, e)) != tgt.act_variable(w, img):
+                return False, checked, {
+                    "reason": f"action of t[{w}] does not commute",
+                    "input": src.element_to_json(e),
+                }
+        checked += 1
+    return True, checked, None
+
+
+def reference_composite(m, elem):
+    """Independent image of elem under the CleanMap m: every term through
+    every cover step with ``CoverData.apply_monomial``, no term dropped
+    before it, summed over the field."""
+    field = m.ring.field
+    terms = dict(elem.terms)
+    for cd in m.covers:
+        out = {}
+        for (lau, inv), c in terms.items():
+            for tl, ti, k in cd.apply_monomial(lau, inv):
+                add_term(out, (tl, ti), c * field.from_int(k))
+        terms = out
+    return m.target_env.element(terms)
+
+
+def active_linearity_counts(env, w, laurent_bound, depth_bound):
+    """Monomials the linearity sweep of a passing composite from env.x down
+    to w probes, counted on the full box's inverse vectors: those zero at
+    every passive inverse coordinate (elements below w or not below x), and
+    those at one on a single passive coordinate and zero on the rest, each
+    times the Laurent box over the atoms not below w."""
+    poset = env.ring.poset
+    nlau = sum(1 for a in env.atoms if not poset.leq(a, w))
+    passive = [
+        j
+        for j, y in enumerate(env.inv_vars)
+        if poset.leq(y, w) or not poset.leq(y, env.x)
+    ]
+    active = lifted = 0
+    for vec in env._inverse_vectors(depth_bound):
+        on = [vec[j] for j in passive if vec[j]]
+        if not on:
+            active += 1
+        elif on == [1]:
+            lifted += 1
+    k = (2 * laurent_bound + 1) ** nlau
+    return k * active, k * lifted

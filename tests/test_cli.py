@@ -8,6 +8,8 @@ from facering.bundled import bundled_poset_text
 from facering.cli import _warn_if_cleanmap_long, _warn_if_dd_long, main
 from facering.complexes import dd_sweep_size
 
+from helpers import active_linearity_counts
+
 
 def _bundled_file(tmp_path, name):
     path = tmp_path / f"{name}.json"
@@ -179,24 +181,29 @@ def test_dd_sweep_within_bounds_does_not_warn(capsys):
 
 def test_dd_warning_states_exact_size(capsys):
     ring = PolyRing(bundled_poset("tetrahedron_boundary"))
-    size = dd_sweep_size(ring, 200, 3)
+    size = dd_sweep_size(ring, 300, 3)
     assert size > 5_000_000
-    _warn_if_dd_long(ring, 200, 3)
+    _warn_if_dd_long(ring, 300, 3)
     assert f"the dd sweep expands {size} monomials" in capsys.readouterr().err
     _warn_if_dd_long(ring, 3, 4)
     assert capsys.readouterr().err == ""
 
 
+def _linearity_probes(ring, laurent_bound, depth_bound):
+    """Monomials the linearity sweeps of every cover probe when they pass."""
+    return sum(
+        sum(active_linearity_counts(Envelope.of(ring, u), l, laurent_bound, depth_bound))
+        for u, l in ring.poset.covers
+    )
+
+
 def test_cleanmap_warning_states_exact_size(capsys):
-    # the linearity sweep of a cover walks the Laurent box over the source's
-    # atoms times the source's inverse vectors of bounded depth
+    # the linearity sweep of a cover walks its active box and, per passive
+    # inverse coordinate, the active box with that coordinate at one
     ring = PolyRing(bundled_poset("tetrahedron_boundary"))
-    size = 0
-    for u, _ in ring.poset.covers:
-        env = Envelope.of(ring, u)
-        size += 401 ** env.natoms * len(env._inverse_vectors(3))
+    size = _linearity_probes(ring, 20_000, 3)
     assert size > 5_000_000
-    _warn_if_cleanmap_long(ring, False, True, None, 200, 3)
+    _warn_if_cleanmap_long(ring, False, True, None, 20_000, 3)
     assert f"the cleanmap sweeps expand {size} monomials" in capsys.readouterr().err
     _warn_if_cleanmap_long(ring, True, True, "123", 2, 3)
     assert capsys.readouterr().err == ""
@@ -209,16 +216,18 @@ def test_cleanmap_warning_states_exact_size(capsys):
 )
 def test_cleanmap_warning_counts_the_sweeps(monkeypatch, tmp_path, capsys, flags):
     # with the threshold at zero the warning always prints: its count is the
-    # number of monomials the reports say were checked, plus the box the
-    # roundtrip materialises at x
+    # number of monomials the clean reports say were checked, the monomials
+    # the linearity sweeps probe, and the box the roundtrip materialises at x
     monkeypatch.setattr(cli, "_WARN_SIZE", 0)
     out = tmp_path / "c.json"
     argv = ["cleanmap", "--poset", "double_triangle", "--box", "1", "--depth", "3"]
     assert main(argv + flags + ["--json", str(out)]) == 0
     reports = json.loads(out.read_text())["reports"]
-    want = sum(r.get("checked", 0) for r in reports)
+    want = sum(r["checked"] for r in reports if r["property"] == "clean")
+    ring = PolyRing(bundled_poset("double_triangle"))
+    if any(r["property"] == "graded linearity" for r in reports):
+        want += _linearity_probes(ring, 1, 3)
     if "--tau-roundtrip" in flags:
-        ring = PolyRing(bundled_poset("double_triangle"))
         want += len(list(Envelope.of(ring, "12").monomial_box(1, 3)))
     err = capsys.readouterr().err
     assert f"the cleanmap sweeps expand {want} monomials" in err

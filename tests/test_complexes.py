@@ -256,7 +256,7 @@ def test_leftover_translates_with_passive_coordinates(name):
 
 def test_dd_sweep_size_counts_active_boxes():
     # active inverse vectors: zero on the passive elements (below w, or not
-    # below x); two active atoms per interval
+    # below x); two active atoms per interval, each in [-lb, 0]
     for name in ALL_BUNDLED:
         ring = make_ring(name)
         poset = ring.poset
@@ -272,7 +272,7 @@ def test_dd_sweep_size_counts_active_boxes():
                 invs = [
                     v for v in env._inverse_vectors(db) if not any(v[j] for j in passive)
                 ]
-                want += (2 * lb + 1) ** 2 * len(invs)
+                want += (lb + 1) ** 2 * len(invs)
             assert dd_sweep_size(ring, lb, db) == want, (name, lb, db)
 
 

@@ -403,6 +403,10 @@ def test_box_size_counts_monomial_box(name):
                     if not any(lau[i] for i in loff) and not any(inv[j] for j in ioff)
                 ]
                 assert box == want, (x, lpos, ipos, lb, db)
+                # the same box with its Laurent exponents capped at zero
+                low = list(env.monomial_box(lb, db, lpos, ipos, laurent_max=0))
+                assert low == [m for m in box if max(m[0], default=0) <= 0]
+                assert env.box_size(lb, db, lpos, ipos, laurent_max=0) == len(low)
 
 
 def test_negative_bounds_raise(ring_p1):
