@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from operator import itemgetter
+from operator import add, itemgetter
 
-from .envelope import Envelope, EnvelopeElement, bounded_vectors
+from .envelope import Envelope, EnvelopeElement, bounded_vectors, count_bounded_vectors
 from .scalars import add_term
 
 
@@ -61,12 +61,19 @@ class CertReport:
 
 
 class CoverData:
-    """Precomputed combinatorics of one cover step between envelopes.
+    """Precomputed combinatorics of one cover step x > z between envelopes.
 
-    The source variables split as atoms | Z | W: Z holds the elements below
-    the upper endpoint that contain the removed atom (their inverse
-    exponents absorb the binomial transfer), W everything else (carried
-    along unchanged).
+    The step moves one coordinate.  The target's atoms are the source's
+    minus the removed atom r, both in the global atom order, and the
+    target's inverse variables are the source's plus r, both in ring order.
+    Proof: every atom below z is below x, and ``active_positions(z)`` leaves
+    exactly one atom of x not below z (``len(lpos) == 1``); each envelope
+    lists its atoms by filtering the global atom order and its inverse
+    variables by filtering the ring order down to the non-atoms.  So a
+    target Laurent part is the source's with position r_pos deleted, and a
+    target inverse part is the source's with r's exponent inserted at
+    r_tgt.  The Z positions ``z_src`` (the elements below x but not below z)
+    absorb the binomial transfer out of r; every other exponent is copied.
     """
 
     def __init__(self, ring, upper, lower):
@@ -78,30 +85,23 @@ class CoverData:
         self.lower = lower
         self.source = Envelope.of(ring, upper)
         self.target = Envelope.of(ring, lower)
-        src, tgt = self.source, self.target
+        src = self.source
         lpos, self.z_src = src.active_positions(lower)
         if len(lpos) != 1:
             raise ValueError(f"cover {upper!r} > {lower!r} does not remove one atom")
         (self.r_pos,) = lpos
         self.removed = src.atoms[self.r_pos]
-        self.kept = tuple(
-            (i, tgt._apos[a]) for i, a in enumerate(src.atoms) if a != self.removed
-        )
-        self.Z = zs = tuple(src.inv_vars[j] for j in self.z_src)
-        for z in src.inv_vars:
-            if poset.leq(z, upper) and (z in zs) != poset.leq(self.removed, z):
+        for j, z in enumerate(src.inv_vars):
+            if poset.leq(z, upper) and (j in self.z_src) != poset.leq(self.removed, z):
                 raise ValueError(f"{z!r} breaks the boolean interval below {upper!r}")
-        zset = set(zs)
-        self.z_tgt = tuple(tgt._ipos[z] for z in zs)
-        self.w_pairs = tuple(
-            (src._ipos[w], tgt._ipos[w]) for w in src.inv_vars if w not in zset
-        )
-        self.r_tgt = tgt._ipos[self.removed]
-        self._zbumps = tuple(src._ibump[j] for j in self.z_src)
-        if any(zb[self.r_pos] != 1 for zb in self._zbumps):
+        self.r_tgt = self.target._ipos[self.removed]
+        r = self.r_pos
+        zbumps = [src._ibump[j] for j in self.z_src]
+        if any(zb[r] != 1 for zb in zbumps):
             raise ValueError(
                 f"an element between {lower!r} and {upper!r} misses the removed atom"
             )
+        self._kept_bumps = tuple(zb[:r] + zb[r + 1:] for zb in zbumps)
         self._dcache = {}
 
     @classmethod
@@ -113,20 +113,21 @@ class CoverData:
         return cd
 
     def _expansions(self, budget):
-        """Each way to move at most budget units into Z: the units per Z
-        element, their total, and the Laurent bump they give the source
-        atoms."""
+        """Each way to move at most budget units into Z: the (source inverse
+        position, units) of each Z element that gets some, their total, and
+        the Laurent bump they give the kept atoms."""
         cached = self._dcache.get(budget)
         if cached is None:
             out = []
-            for d in bounded_vectors((1,) * len(self.Z), budget):
-                bump = [0] * self.source.natoms
-                for dz, zb in zip(d, self._zbumps):
+            for d in bounded_vectors((1,) * len(self.z_src), budget):
+                bump = [0] * (self.source.natoms - 1)
+                for dz, zb in zip(d, self._kept_bumps):
                     if dz:
                         for t, b in enumerate(zb):
                             if b:
                                 bump[t] += dz
-                out.append((d, sum(d), tuple(bump)))
+                moves = tuple((j, dz) for j, dz in zip(self.z_src, d) if dz)
+                out.append((moves, sum(d), tuple(bump)))
             cached = self._dcache[budget] = tuple(out)
         return cached
 
@@ -138,27 +139,21 @@ class CoverData:
         count of its interleavings; monomials with positive removed-atom
         exponent map to zero.
         """
-        a_r = lau[self.r_pos]
+        r = self.r_pos
+        a_r = lau[r]
         if a_r > 0:
             return ()
-        tgt = self.target
+        kept = lau[:r] + lau[r + 1:]
         out = []
-        for d, sd, bump in self._expansions(-a_r):
+        for moves, sd, bump in self._expansions(-a_r):
             coeff = 1
-            for js, dz in zip(self.z_src, d):
-                if dz:
-                    b = inv[js]
-                    coeff *= comb(b + dz, b)
-            tl = [0] * tgt.natoms
-            for si, ti in self.kept:
-                tl[ti] = lau[si] + bump[si]
-            ti_ = [0] * tgt.ninv
-            for js, jt in self.w_pairs:
-                ti_[jt] = inv[js]
-            for js, jt, dz in zip(self.z_src, self.z_tgt, d):
-                ti_[jt] = inv[js] + dz
-            ti_[self.r_tgt] = -(a_r + sd)
-            out.append((tuple(tl), tuple(ti_), coeff))
+            ti = list(inv)
+            for j, dz in moves:
+                b = inv[j]
+                coeff *= comb(b + dz, b)
+                ti[j] = b + dz
+            ti.insert(self.r_tgt, -(a_r + sd))
+            out.append((tuple(map(add, kept, bump)), tuple(ti), coeff))
         return out
 
 
@@ -333,6 +328,24 @@ def check_clean(m, depth_bound=4):
     zero_deg = (0,) * src.ring.natoms
     mons = src.monomials_of_degree(zero_deg, depth_max=depth_bound, depth_min=1)
     return _sweep("clean", {"depth": depth_bound}, mons, probe)
+
+
+def clean_sweep_size(env, depth_bound):
+    """Number of monomials ``check_clean`` sweeps on a passing map out of
+    env: the degree-zero monomials of depth 1 to depth_bound.  At an atom
+    not below env.x the degree is minus a sum of non-negative inverse
+    exponents, so a degree-zero inverse part is zero at every variable with
+    such an atom; on the others every inverse part of bounded depth occurs,
+    with its Laurent part forced by the degree.  The unit is the one of
+    depth 0."""
+    poset = env.ring.poset
+    below = poset.atom_set(env.x)
+    weights = [
+        w
+        for z, w in zip(env.inv_vars, env._iweight)
+        if poset.atom_set(z) <= below
+    ]
+    return count_bounded_vectors(weights, depth_bound) - 1
 
 
 def _linearity_probe(m):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bundled import BUNDLED, resolve_poset
@@ -20,6 +21,7 @@ from .cleanmap import (
     StabilizationError,
     check_clean,
     check_linearity,
+    clean_sweep_size,
     compose_maps,
     cover_map,
     linearity_sweep_size,
@@ -43,6 +45,16 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_PROPERTY = 3
+
+
+def _check_json_path(path):
+    """Fail before any work when the certificate at path could not be
+    written: its directory is missing or path is itself a directory."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"cannot write --json {path}: it is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(f"cannot write --json {path}: no directory {parent}")
 
 
 def _write_cert(args, cert):
@@ -106,12 +118,11 @@ def _warn_if_cleanmap_long(ring, run_clean, run_lin, x, laurent_bound, depth_bou
     per cover, the clean sweep's degree-zero monomials and the monomials the
     active linearity sweep probes; for a roundtrip at x (None for none), the
     box at x.  Warn, don't stop."""
-    zero = (0,) * ring.natoms
     size = 0
     for u, l in ring.poset.covers:
         env = Envelope.of(ring, u)
         if run_clean:
-            size += len(env.monomials_of_degree(zero, depth_bound, depth_min=1))
+            size += clean_sweep_size(env, depth_bound)
         if run_lin:
             size += linearity_sweep_size(env, l, laurent_bound, depth_bound)
     if x is not None:
@@ -389,6 +400,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.json_path:
+            _check_json_path(args.json_path)
         return args.func(args)
     except _InvalidPoset:
         return EXIT_INVALID

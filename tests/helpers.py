@@ -1,6 +1,7 @@
 """Shared test utilities: random generators and independent mini-oracles."""
 
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
+from math import comb
 
 from facering import Envelope, PolyRing, SimplicialPoset, bundled_poset, tau_coefficient
 from facering.envelope import bounded_vectors
@@ -377,6 +378,44 @@ def reference_composite(m, elem):
                 add_term(out, (tl, ti), c * field.from_int(k))
         terms = out
     return m.target_env.element(terms)
+
+
+def reference_cover_step(ring, upper, lower, mon):
+    """Independent image of the source monomial mon under the cover step
+    upper > lower, as {(laurent, inverse): int coefficient}.
+
+    Works on element names only: the removed atom r is the atom below upper
+    that is not below lower, and Z holds the inverse variables below upper
+    but not below lower.  Each multiset of units moved out of r's exponent
+    a_r into Z, at most -a_r of them, adds the d_y units sent to y to y's
+    inverse exponent c_y and to the Laurent exponent of each atom below y,
+    and leaves the rest at r's inverse exponent, weighted by the product of
+    the binomials C(c_y + d_y, d_y).  A positive a_r gives nothing.
+    """
+    poset = ring.poset
+    src = Envelope.of(ring, upper)
+    tgt = Envelope.of(ring, lower)
+    lau = dict(zip(src.atoms, mon[0]))
+    inv = dict(zip(src.inv_vars, mon[1]))
+    (r,) = [a for a in src.atoms if not poset.leq(a, lower)]
+    zs = [y for y in src.inv_vars if poset.leq(y, upper) and not poset.leq(y, lower)]
+    out = {}
+    for units in range(-lau[r] + 1):
+        for dest in combinations_with_replacement(zs, units):
+            tl = dict(lau)
+            ti = dict(inv)
+            coeff = 1
+            for y in set(dest):
+                dy = dest.count(y)
+                coeff *= comb(inv[y] + dy, dy)
+                ti[y] += dy
+                for a in src.atoms:
+                    if poset.leq(a, y):
+                        tl[a] += dy
+            ti[r] = -(lau[r] + units)
+            key = (tuple(tl[a] for a in tgt.atoms), tuple(ti[y] for y in tgt.inv_vars))
+            out[key] = out.get(key, 0) + coeff
+    return out
 
 
 def active_linearity_counts(env, w, laurent_bound, depth_bound):

@@ -5,6 +5,7 @@ import pytest
 
 from facering import (
     CleanMap,
+    CoverData,
     Envelope,
     GradedEndomap,
     StabilizationError,
@@ -23,6 +24,7 @@ from facering import (
     tau_map,
     PolyRing,
 )
+from facering.cleanmap import clean_sweep_size
 from facering.scalars import QQ, PrimeField
 
 from helpers import (
@@ -33,6 +35,7 @@ from helpers import (
     make_ring,
     random_envelope_element,
     reference_composite,
+    reference_cover_step,
     reference_linearity_sweep,
     reference_tau,
 )
@@ -529,3 +532,63 @@ def test_linearity_of_every_cover_of_bd_simplex5(monkeypatch):
         active, lifted = active_linearity_counts(env, l, 1, 2)
         bound += (1 + nvar) * active + 2 * lifted
     assert len(calls) <= bound < 200_000
+
+
+def _cover_step_terms(cd, mon):
+    out = {}
+    for tl, ti, k in cd.apply_monomial(*mon):
+        out[(tl, ti)] = out.get((tl, ti), 0) + k
+    return out
+
+
+def _random_source_monomials(env, rng, count):
+    return [
+        (
+            tuple(rng.randint(-3, 1) for _ in range(env.natoms)),
+            tuple(rng.randint(0, 2) for _ in range(env.ninv)),
+        )
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED + ("rp2",))
+def test_cover_step_matches_reference(name):
+    # every cover's expansion, term by term, against one built from element
+    # names; RP^2 on 200 seeded monomials per cover instead of the box
+    poset = face_poset(RP2_FACETS) if name == "rp2" else bundled_poset(name)
+    ring = PolyRing(poset)
+    rng = random.Random(7)
+    for u, l in poset.covers:
+        cd = CoverData.of(ring, u, l)
+        if name == "rp2":
+            mons = _random_source_monomials(cd.source, rng, 200)
+        else:
+            mons = cd.source.monomial_box(2, 2)
+        for mon in mons:
+            want = reference_cover_step(ring, u, l, mon)
+            assert _cover_step_terms(cd, mon) == want, (u, l, mon)
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_cover_step_reference_catches_a_shifted_removed_atom(name):
+    # a step that writes the removed atom's exponent one place off
+    ring = make_ring(name)
+    for u, l in ring.poset.covers:
+        cd = CoverData(ring, u, l)
+        cd.r_tgt += -1 if cd.r_tgt else 1
+        assert any(
+            _cover_step_terms(cd, mon) != reference_cover_step(ring, u, l, mon)
+            for mon in cd.source.monomial_box(2, 2)
+        ), (u, l)
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED + ("rp2",))
+def test_clean_sweep_size_counts_the_sweep(name):
+    poset = face_poset(RP2_FACETS) if name == "rp2" else bundled_poset(name)
+    ring = PolyRing(poset)
+    zero = (0,) * ring.natoms
+    for x in poset.elements:
+        env = Envelope.of(ring, x)
+        for depth in range(5):
+            want = len(env.monomials_of_degree(zero, depth, depth_min=1))
+            assert clean_sweep_size(env, depth) == want, (x, depth)

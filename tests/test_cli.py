@@ -355,3 +355,31 @@ def test_each_envelope_built_once(monkeypatch, capsys, argv):
     monkeypatch.setattr(Envelope, "__init__", counting_init)
     assert main(argv + ["--poset", "tetrahedron_boundary"]) == 0
     assert sorted(built) == sorted(bundled_poset("tetrahedron_boundary").elements)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "p1"],
+        ["ring", "--poset", "p1"],
+        ["envelope", "--poset", "p1", "--deg", "1,0"],
+        ["cleanmap", "--poset", "p1", "--box", "1", "--depth", "2"],
+        ["complex", "--poset", "p1", "--dd", "--box", "1", "--depth", "1"],
+    ],
+)
+@pytest.mark.parametrize("where", ("missing directory", "directory"))
+def test_bad_json_path_fails_before_output(tmp_path, capsys, argv, where):
+    # the certificate path is checked before any work, so nothing is printed
+    # and nothing is created
+    path = tmp_path / "missing" / "c.json" if where == "missing directory" else tmp_path
+    assert main(argv + ["--json", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write --json ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_json_path_without_directory_is_the_working_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["validate", "p1", "--json", "c.json"]) == 0
+    assert json.loads((tmp_path / "c.json").read_text())

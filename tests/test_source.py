@@ -5,6 +5,9 @@ import importlib.util
 from pathlib import Path
 
 import facering
+import facering.cli  # noqa: F401  (the benchmark calls facering.cli.main)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_no_assert_statements():
@@ -23,7 +26,7 @@ def test_no_assert_statements():
 def test_profiled_functions_exist():
     # the benchmark's traced run reads call counts and inclusive times off
     # these (module, qualified name) pairs; a rename would silently read 0
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "profiling.py"
+    path = PERFBENCH / "profiling.py"
     spec = importlib.util.spec_from_file_location("perfbench_profiling", path)
     profiling = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(profiling)
@@ -35,3 +38,34 @@ def test_profiled_functions_exist():
         for part in qualname.split("."):
             obj = getattr(obj, part, None)
         assert callable(obj), f"facering.{module}.{qualname} is missing"
+
+
+def _benchmark_names():
+    """Every dotted name the benchmark reads off its facering module,
+    which it binds to ``fr``: the longest attribute chain on that name."""
+    names = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            parts = []
+            while isinstance(node, ast.Attribute):
+                parts.append(node.attr)
+                node = node.value
+            if parts and isinstance(node, ast.Name) and node.id == "fr":
+                names.add(".".join(reversed(parts)))
+    return {n for n in names if not any(m.startswith(n + ".") for m in names)}
+
+
+def test_benchmark_names_exist():
+    # a simplification that drops a name the benchmark calls would show up
+    # only as failed operations in the benchmark
+    names = _benchmark_names()
+    assert {"materialize_tau", "chain_map", "bundled.bundled_poset_text"} <= names
+    missing = []
+    for name in sorted(names):
+        obj = facering
+        for part in name.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(name)
+    assert missing == []
