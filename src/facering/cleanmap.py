@@ -332,20 +332,13 @@ def check_clean(m, depth_bound=4):
 
 def clean_sweep_size(env, depth_bound):
     """Number of monomials ``check_clean`` sweeps on a passing map out of
-    env: the degree-zero monomials of depth 1 to depth_bound.  At an atom
-    not below env.x the degree is minus a sum of non-negative inverse
-    exponents, so a degree-zero inverse part is zero at every variable with
-    such an atom; on the others every inverse part of bounded depth occurs,
-    with its Laurent part forced by the degree.  The unit is the one of
-    depth 0."""
-    poset = env.ring.poset
-    below = poset.atom_set(env.x)
-    weights = [
-        w
-        for z, w in zip(env.inv_vars, env._iweight)
-        if poset.atom_set(z) <= below
-    ]
-    return count_bounded_vectors(weights, depth_bound) - 1
+    env: the degree-zero monomials of depth 1 to depth_bound.  At degree
+    zero every variable ``Envelope._slice_positions`` allows has all its
+    atoms below env.x, so each inverse vector of bounded depth on those
+    positions has degree zero at the atoms not below env.x and occurs once,
+    its Laurent part forced by the degree.  The unit is the one of depth 0."""
+    pos = env._slice_positions((0,) * env.ring.natoms)
+    return count_bounded_vectors([env._iweight[j] for j in pos], depth_bound) - 1
 
 
 def _linearity_probe(m):

@@ -107,12 +107,6 @@ def _warn_if_long(what, size):
         )
 
 
-def _warn_if_dd_long(ring, laurent_bound, depth_bound):
-    """Exact number of monomials the dd sweep expands; warn, don't stop."""
-    size = dd_sweep_size(ring, laurent_bound, depth_bound)
-    _warn_if_long("the dd sweep expands", size)
-
-
 def _warn_if_cleanmap_long(ring, run_clean, run_lin, x, laurent_bound, depth_bound):
     """Exact number of source monomials the selected cleanmap sweeps walk:
     per cover, the clean sweep's degree-zero monomials and the monomials the
@@ -307,7 +301,9 @@ def cmd_complex(args):
     if args.dd:
         # built first, so its maps hold every envelope the size count uses
         gc = build_gamma(ring)
-        _warn_if_dd_long(ring, args.box, args.depth)
+        _warn_if_long(
+            "the dd sweep expands", dd_sweep_size(ring, args.box, args.depth)
+        )
         dd = verify_dd_zero(gc, laurent_bound=args.box, depth_bound=args.depth)
         rep["dd"] = dd.to_json()
         print(

@@ -142,6 +142,7 @@ class Envelope:
         self._apos = {a: i for i, a in enumerate(self.atoms)}
         self._ipos = {z: j for j, z in enumerate(self.inv_vars)}
         self._acoord = tuple(ring.atom_index(a) for a in self.atoms)
+        self._free = tuple(g for g in range(ring.natoms) if g not in self._acoord)
         self._ideg = tuple(ring.variable_degree(z) for z in self.inv_vars)
         self._iweight = tuple(sum(d) for d in self._ideg)
         self._ileq = tuple(poset.leq(z, x) for z in self.inv_vars)
@@ -337,7 +338,9 @@ class Envelope:
 
     def _inverse_vectors(self, depth_bound, positions=None):
         """Inverse vectors of depth at most depth_bound that are zero off the
-        inverse positions (all by default), in lexicographic order."""
+        inverse positions (all by default), in lexicographic order.  Cached
+        per (depth_bound, positions): every box and every degree slice of
+        this envelope reads its inverse parts from here."""
         key = (depth_bound, positions)
         cached = self._invcache.get(key)
         if cached is None:
@@ -346,54 +349,52 @@ class Envelope:
             cached = self._invcache[key] = tuple(_spread(self.ninv, pos, vecs))
         return cached
 
-    def monomials_of_degree(self, a, depth_max, depth_min=0):
-        """All basis monomials of the given degree with bounded depth.
+    def _slice_positions(self, a):
+        """The inverse positions a monomial of degree a may be nonzero at, as
+        an ascending tuple, or None when no monomial has degree a.
 
-        The inverse part is searched directly; the Laurent part is then
-        forced by the degree.  Empty whenever the degree has a positive
-        entry outside the atoms below x.
+        At an atom g not below x no Laurent exponent counts, so the degree
+        there is minus the inverse exponents of the variables with g among
+        their atoms.  It is never positive, and it is zero only when each of
+        those exponents is zero.  So a positive a_g leaves no monomial, and a
+        variable with an atom g not below x where a_g = 0 has exponent zero
+        in every degree-a monomial.  Every other variable may be nonzero.
+        """
+        if any(a[g] > 0 for g in self._free):
+            return None
+        return tuple(
+            j
+            for j, d in enumerate(self._ideg)
+            if all(a[g] < 0 for g in self._free if d[g])
+        )
+
+    def monomials_of_degree(self, a, depth_max, depth_min=0):
+        """All basis monomials of degree a with depth in [depth_min,
+        depth_max], sorted.
+
+        A degree-a monomial has its inverse part zero off the positions
+        ``_slice_positions`` allows (proof there), and that part alone gives
+        its degree a_g at each atom g not below x.  Its Laurent part is then
+        forced: a minus the inverse part's degree, on the atoms below x.
+        Conversely each such inverse vector with that Laurent part has
+        degree a.  So the slice is the cached inverse vectors on those
+        positions, kept by depth and by their degree at the atoms not below
+        x.  Empty whenever a has a positive entry at an atom not below x.
         """
         _check_bound(depth_max, "depth bound")
-        n = self.ring.natoms
         a = tuple(a)
-        if len(a) != n:
+        if len(a) != self.ring.natoms:
             raise ValueError("degree vector has the wrong length")
-        acoords = set(self._acoord)
-        free = [g for g in range(n) if g not in acoords]
-        target = [-a[g] for g in free]
-        if any(t < 0 for t in target):
+        positions = self._slice_positions(a)
+        if positions is None:
             return []
-        dvecs = [tuple(self._ideg[j][g] for g in free) for j in range(self.ninv)]
+        zero = (0,) * self.natoms
         out = []
-        vec = [0] * self.ninv
-
-        def rec(j, budget, rem):
-            if j == self.ninv:
-                if all(r == 0 for r in rem):
-                    depth = depth_max - budget
-                    if depth >= depth_min:
-                        lau = tuple(
-                            a[g] + sum(
-                                vec[k] * self._ideg[k][g]
-                                for k in range(self.ninv)
-                                if vec[k]
-                            )
-                            for g in self._acoord
-                        )
-                        out.append((lau, tuple(vec)))
-                return
-            w = self._iweight[j]
-            dv = dvecs[j]
-            top = budget // w
-            for t, d in zip(rem, dv):
-                if d:
-                    top = min(top, t // d)
-            for e in range(top + 1):
-                vec[j] = e
-                rec(j + 1, budget - e * w, [t - e * d for t, d in zip(rem, dv)])
-            vec[j] = 0
-
-        rec(0, depth_max, target)
+        for inv in self._inverse_vectors(depth_max, positions):
+            if self.depth((zero, inv)) >= depth_min:
+                d = self.degree((zero, inv))
+                if all(d[g] == a[g] for g in self._free):
+                    out.append((tuple(a[g] - d[g] for g in self._acoord), inv))
         out.sort()
         return out
 

@@ -51,11 +51,9 @@ class SimplicialPoset:
         upper = [[] for _ in range(n)]
         pairs = set()
         for pair in covers:
-            try:
-                u, l = pair
-            except (TypeError, ValueError) as exc:
-                raise PosetError(f"malformed cover entry {pair!r}") from exc
-            u, l = str(u), str(l)
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise PosetError(f"malformed cover entry {pair!r}")
+            u, l = str(pair[0]), str(pair[1])
             if u not in self._idx or l not in self._idx:
                 raise PosetError(f"cover mentions unknown element: {pair!r}")
             iu, il = self._idx[u], self._idx[l]

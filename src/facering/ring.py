@@ -348,12 +348,7 @@ class PolyRing:
     # ---------- straightening normal form ----------
 
     def is_chain_monomial(self, mon):
-        support = [k for k, e in enumerate(mon) if e]
-        return all(
-            self._comparable[(i, j)]
-            for a, i in enumerate(support)
-            for j in support[a + 1:]
-        )
+        return self._first_incomparable_pair(mon) is None
 
     def _first_incomparable_pair(self, mon):
         support = [k for k, e in enumerate(mon) if e]

@@ -162,6 +162,8 @@ QQ = Rationals()
 def field_from_name(name: str, prime: int | None = None):
     """Resolve "Q", "F<p>", or ("Fp", prime) to a field handle."""
     name = name.strip()
+    if prime is not None and name != "Fp":
+        raise FieldError(f"a prime goes with field Fp, not {name!r}")
     if name in ("Q", "QQ"):
         return QQ
     if name == "Fp":

@@ -220,6 +220,48 @@ def reference_tau(phi, alpha):
     return out
 
 
+def reference_monomials_of_degree(env, a, depth_max, depth_min=0, memo=None):
+    """Independent degree-a slice of env with depth in [depth_min,
+    depth_max], sorted.
+
+    Each multiset of at most depth_max inverse variables
+    (``combinations_with_replacement``) is an inverse part; its depth is the
+    sum of the variables' ranks, and it lowers the degree by one at each atom
+    of each variable.  The parts whose degree at the atoms not below x is a
+    there are kept, each with its Laurent part forced by a.  The parts of one
+    (env, depth_max) do not depend on a, so callers sweeping many degrees may
+    share ``memo``.
+    """
+    ring = env.ring
+    poset = ring.poset
+    outside = [g for g, atom in enumerate(poset.atoms) if not poset.leq(atom, env.x)]
+    parts = None if memo is None else memo.get((env, depth_max))
+    if parts is None:
+        # off-x degree lowered -> [(inverse part, degree lowered, depth)]
+        parts = {}
+        for k in range(depth_max + 1):
+            for zs in combinations_with_replacement(env.inv_vars, k):
+                depth = sum(poset.rank_of(z) for z in zs)
+                if depth > depth_max:
+                    continue
+                lowered = [0] * ring.natoms
+                for z in zs:
+                    for atom in poset.atom_set(z):
+                        lowered[ring.atom_index(atom)] += 1
+                inv = tuple(zs.count(z) for z in env.inv_vars)
+                key = tuple(lowered[g] for g in outside)
+                parts.setdefault(key, []).append((inv, lowered, depth))
+        if memo is not None:
+            memo[(env, depth_max)] = parts
+    out = [
+        (tuple(a[ring.atom_index(atom)] + lowered[ring.atom_index(atom)]
+               for atom in env.atoms), inv)
+        for inv, lowered, depth in parts.get(tuple(-a[g] for g in outside), ())
+        if depth >= depth_min
+    ]
+    return sorted(out)
+
+
 def reference_annihilator_basis(env, a, depth):
     """Independent annihilator basis of the degree-a slice of depth at most
     depth.

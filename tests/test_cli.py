@@ -5,7 +5,7 @@ import pytest
 from facering import Envelope, PolyRing, bundled_poset
 from facering import cli
 from facering.bundled import bundled_poset_text
-from facering.cli import _warn_if_cleanmap_long, _warn_if_dd_long, main
+from facering.cli import _warn_if_cleanmap_long, main
 from facering.complexes import dd_sweep_size
 
 from helpers import active_linearity_counts
@@ -52,6 +52,18 @@ def test_validate_parse_error(tmp_path, capsys):
     )
     assert main(["validate", str(path)]) == 2
     assert "cycle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cover", ['"a0"', '{"a": 1, "0": 2}', '["a", "0", "0"]'])
+def test_validate_rejects_malformed_cover(tmp_path, capsys, cover):
+    path = tmp_path / "bad_cover.json"
+    path.write_text(
+        f'{{"elements": ["0", "a"], "covers": [{cover}]}}', encoding="utf-8"
+    )
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "malformed cover entry" in captured.err
 
 
 def test_ring_output(capsys):
@@ -179,13 +191,16 @@ def test_dd_sweep_within_bounds_does_not_warn(capsys):
     assert captured.err == ""
 
 
-def test_dd_warning_states_exact_size(capsys):
+def test_dd_warning_states_exact_size(monkeypatch, capsys):
+    # the threshold is lowered so that a quick sweep crosses it
     ring = PolyRing(bundled_poset("tetrahedron_boundary"))
-    size = dd_sweep_size(ring, 300, 3)
-    assert size > 5_000_000
-    _warn_if_dd_long(ring, 300, 3)
+    size = dd_sweep_size(ring, 1, 1)
+    argv = ["complex", "--poset", "tetrahedron_boundary", "--dd", "--box", "1", "--depth", "1"]
+    monkeypatch.setattr(cli, "_WARN_SIZE", size - 1)
+    assert main(argv) == 0
     assert f"the dd sweep expands {size} monomials" in capsys.readouterr().err
-    _warn_if_dd_long(ring, 3, 4)
+    monkeypatch.setattr(cli, "_WARN_SIZE", size)
+    assert main(argv) == 0
     assert capsys.readouterr().err == ""
 
 
@@ -303,6 +318,15 @@ def test_field_option_threads_through(capsys):
     assert main(["ring", "--poset", "p1", "--field", "F3", "--straighten", "t[y1]*t[y2]"]) == 0
     assert main(["ring", "--poset", "p1", "--field", "Fp", "--prime", "5"]) == 0
     assert main(["ring", "--poset", "p1", "--field", "F4"]) == 2
+
+
+@pytest.mark.parametrize("field", ["F3", "Q"])
+def test_prime_without_fp_is_usage_error(capsys, field):
+    argv = ["ring", "--poset", "p1", "--field", field, "--prime", "5"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Fp" in captured.err
 
 
 @pytest.mark.parametrize(

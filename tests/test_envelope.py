@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 from fractions import Fraction
 from itertools import product
@@ -6,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from facering import Envelope, EnvelopeElement, bundled_poset, PolyRing
+from facering import Envelope, EnvelopeElement, bundled_poset, PolyRing, envelope
 from facering.cleanmap import check_clean, check_linearity, cover_map
 from facering.complexes import _diamonds_below, build_gamma, verify_dd_zero
 from facering.envelope import bounded_vectors, count_bounded_vectors
@@ -20,6 +21,7 @@ from helpers import (
     random_envelope_element,
     random_polynomial,
     reference_annihilator_basis,
+    reference_monomials_of_degree,
     subset_expansion_action,
 )
 
@@ -205,6 +207,42 @@ def test_monomials_of_degree_enumeration(env_x):
     for m in mons:
         assert env_x.degree(m) == (1, 1)
         assert env_x.depth(m) <= 3
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED + ("rp2",))
+def test_monomials_of_degree_match_reference(name):
+    poset = face_poset(RP2_FACETS) if name == "rp2" else bundled_poset(name)
+    ring = PolyRing(poset)
+    degrees = list(product(range(-2, 3), repeat=ring.natoms))
+    if name == "rp2":
+        degrees = random.Random(1).sample(degrees, 300)
+    memo = {}
+    for x in poset.elements:
+        env = Envelope.of(ring, x)
+        for depth in range(4):
+            for a in degrees:
+                for depth_min in (0, 1):
+                    want = reference_monomials_of_degree(env, a, depth, depth_min, memo)
+                    got = env.monomials_of_degree(a, depth, depth_min)
+                    assert got == want, (x, a, depth, depth_min)
+
+
+def test_degree_slices_share_one_enumeration(monkeypatch):
+    calls = []
+
+    def counting(weights, budget):
+        calls.append((tuple(weights), budget))
+        return bounded_vectors(weights, budget)
+
+    monkeypatch.setattr(envelope, "bounded_vectors", counting)
+    ring = make_ring("tetrahedron_boundary")
+    for x in ring.poset.elements:
+        env = Envelope.of(ring, x)
+        calls.clear()
+        for a in product(range(3), repeat=ring.natoms):
+            env.monomials_of_degree(a, 3)
+            env.monomials_of_degree(a, 3, depth_min=1)
+        assert len(calls) == 1, x
 
 
 def test_annihilator_p1(env_x, ring_p1):

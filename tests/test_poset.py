@@ -49,6 +49,15 @@ def test_parse_malformed():
         SimplicialPoset(["0", "a", "a"], [["a", "0"]])
 
 
+@pytest.mark.parametrize(
+    "entry", ["a0", "a", ["a"], ["a", "0", "0"], {"a": 1, "0": 2}, 7, None]
+)
+def test_cover_entry_must_be_a_pair(entry):
+    # a string or dict of two items would otherwise unpack as a cover
+    with pytest.raises(PosetError, match="malformed cover entry"):
+        SimplicialPoset(["0", "a"], [entry])
+
+
 def test_validate_p1_ok(p1):
     report = validate_simplicial(p1)
     assert report.ok and report.violations == []

@@ -50,6 +50,12 @@ def test_field_from_name():
         field_from_name("R")
 
 
+@pytest.mark.parametrize("name", ["Q", "QQ", "F3", "F5", "R"])
+def test_prime_only_goes_with_fp(name):
+    with pytest.raises(FieldError, match="Fp"):
+        field_from_name(name, prime=5)
+
+
 def test_large_primes_accepted():
     for p in (10**18 + 3, 2**61 - 1):
         assert PrimeField(p).from_int(p + 1) == PrimeField(p).one
