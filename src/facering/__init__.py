@@ -21,6 +21,7 @@ from .cleanmap import (
     chain_map,
     check_clean,
     check_linearity,
+    check_roundtrip,
     compose_maps,
     cover_map,
     identity_map,
@@ -74,6 +75,7 @@ __all__ = [
     "chain_map",
     "check_clean",
     "check_linearity",
+    "check_roundtrip",
     "cohomology_dims_at",
     "complex_report",
     "compose_maps",

@@ -31,8 +31,8 @@ class StabilizationError(RuntimeError):
 class CertReport:
     """Result of one bounded certification sweep.
 
-    ``checked`` counts monomials: for clean and linearity sweeps those that
-    passed before the first failure, or all of them on a pass (as every
+    ``checked`` counts monomials: for clean, linearity and roundtrip sweeps
+    those that passed before the first failure, or all on a pass (as every
     cover map of a valid poset does); for a dd sweep the full box it covers.
     A passing linearity report of a ``CleanMap``, like a dd report, holds for
     every value of the passive coordinates, and its ``checked`` still counts
@@ -370,35 +370,36 @@ def _linearity_probe(m):
     return probe
 
 
-def _passive_lifts(env, ipos, depth_bound):
-    """(inverse position, variable, depth left) for each passive inverse
-    coordinate whose unit fits within depth_bound."""
+def _passive_lifts(env, w, depth_bound):
+    """(inverse position, variable, depth left) for each inverse coordinate
+    the descent from env.x down to w leaves passive whose unit fits within
+    depth_bound."""
+    _, ipos = env.active_positions(w)
     return [
-        (j, z, depth_bound - w)
-        for j, (z, w) in enumerate(zip(env.inv_vars, env._iweight))
-        if j not in ipos and w <= depth_bound
+        (j, z, depth_bound - weight)
+        for j, (z, weight) in enumerate(zip(env.inv_vars, env._iweight))
+        if j not in ipos and weight <= depth_bound
     ]
 
 
 def _active_linearity_sweep(env, w, laurent_bound, depth_bound):
     """(monomial, variables) pairs the linearity sweep of a ``CleanMap``
     from env.x down to w probes, in order; see ``check_linearity``."""
-    lpos, ipos = env.active_positions(w)
-    for mon in env.monomial_box(laurent_bound, depth_bound, lpos, ipos):
+    for mon in env.monomial_box(laurent_bound, depth_bound, w):
         yield mon, env.ring.variables
-    for j, z, rest in _passive_lifts(env, ipos, depth_bound):
-        for lau, inv in env.monomial_box(laurent_bound, rest, lpos, ipos):
+    for j, z, rest in _passive_lifts(env, w, depth_bound):
+        for lau, inv in env.monomial_box(laurent_bound, rest, w):
             yield (lau, inv[:j] + (1,) + inv[j + 1:]), (z,)
 
 
 def linearity_sweep_size(env, w, laurent_bound, depth_bound):
     """Number of monomials ``check_linearity`` probes on a passing
-    ``CleanMap`` from env.x down to w: the active box, and for each passive
-    inverse coordinate the active box of the depth its unit leaves."""
-    lpos, ipos = env.active_positions(w)
-    return env.box_size(laurent_bound, depth_bound, lpos, ipos) + sum(
-        env.box_size(laurent_bound, rest, lpos, ipos)
-        for _, _, rest in _passive_lifts(env, ipos, depth_bound)
+    ``CleanMap`` from env.x down to w: the active box of that descent
+    (``Envelope.monomial_box``), and for each passive inverse coordinate the
+    active box of the depth its unit leaves."""
+    return env.box_size(laurent_bound, depth_bound, w) + sum(
+        env.box_size(laurent_bound, rest, w)
+        for _, _, rest in _passive_lifts(env, w, depth_bound)
     )
 
 
@@ -406,18 +407,17 @@ def check_linearity(m, laurent_bound=2, depth_bound=2):
     """Certify degree preservation and commutation with every variable on a
     finite monomial box.
 
-    A ``CleanMap`` is swept over its active coordinates only.  Its image of
-    a monomial is that of the monomial's active part (passive coordinates
-    zero), translated by the passive coordinates
-    (``Envelope.active_positions``); degrees add under the translation, so
-    the degree test runs on the active box.  A variable v acts by a sum of
+    A ``CleanMap`` is swept over the active box of its descent
+    (``Envelope.monomial_box``: what it skips passes, and its images are
+    translated by the passive coordinates).  Degrees add under that
+    translation, so the degree test runs on the box.  A variable v acts by
     fixed shifts, which commute with the translation, except the contraction
     at v's own inverse coordinate, which kills exponent zero.  Where that
     coordinate is passive it is copied to the image, so both sides lose the
-    contraction at zero and keep it at every positive value, where they are
-    translates of their values at one.  So v is probed on the active box and
-    on the active box with v's own coordinate at one (depth at most
-    depth_bound either way), and a pass holds for every value of the passive
+    contraction at zero and are translates of their values at one at every
+    positive value.  So v is also
+    probed on the box with its own coordinate at one (depth at most
+    depth_bound), and a pass holds for every value of the passive
     coordinates.  On a pass ``checked`` counts the full box; on a failure
     (only a broken map fails) the full box is swept again for the first
     failing monomial and the count before it.  Any other map is swept over
@@ -550,3 +550,33 @@ def neumann_inverse(endo):
         return total.scale(inv_c)
 
     return GradedEndomap(env, fn, label=f"series inverse of {endo.label}")
+
+
+def check_roundtrip(ring, x, lower, laurent_bound, depth_bound):
+    """Certify the base-change roundtrip at x on the box of these bounds.
+
+    phi is the cover map x > lower after the non-clean automorphism at x,
+    and tau its base-change conjugate.  The cover map after tau must equal
+    phi on every box monomial; the witness is the first where it does not.
+    The report passes only if that holds, phi is not clean and phi after
+    the series inverse of tau is clean, both to depth_bound.
+    """
+    psi = cover_map(ring, x, lower)
+    phi = compose_maps(psi, nonclean_automorphism(ring, x, ring.field.one))
+    not_clean = not check_clean(phi, depth_bound=depth_bound).passed
+    env = phi.source_env
+    box = list(env.monomial_box(laurent_bound, depth_bound))
+    tau = materialize_tau(phi, box)
+    psi_tau = compose_maps(psi, tau)
+
+    def probe(mon):
+        e = env.element({mon: ring.field.one})
+        if psi_tau(e) != phi(e):
+            return {"input": env.element_to_json(e)}
+        return None
+
+    bounds = {"laurent": laurent_bound, "depth": depth_bound}
+    rep = _sweep("base-change roundtrip", bounds, box, probe)
+    repaired = check_clean(compose_maps(phi, neumann_inverse(tau)), depth_bound)
+    rep.passed = rep.passed and not_clean and repaired.passed
+    return rep

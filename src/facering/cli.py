@@ -18,16 +18,14 @@ import sys
 
 from .bundled import BUNDLED, resolve_poset
 from .cleanmap import (
+    CertReport,
     StabilizationError,
     check_clean,
     check_linearity,
+    check_roundtrip,
     clean_sweep_size,
-    compose_maps,
     cover_map,
     linearity_sweep_size,
-    materialize_tau,
-    neumann_inverse,
-    nonclean_automorphism,
 )
 from .complexes import (
     build_gamma,
@@ -211,7 +209,20 @@ def cmd_envelope(args):
     return EXIT_OK if ok else EXIT_PROPERTY
 
 
+def _print_status(label, rep, with_checked=False):
+    """Print the report's status line, with the bounds it records and, if
+    asked, its count of checked monomials; return whether it passed."""
+    bits = [f"|laurent| <= {rep.bounds['laurent']}"] if "laurent" in rep.bounds else []
+    bits.append(f"depth <= {rep.bounds['depth']}")
+    if with_checked:
+        bits.append(f"checked {rep.checked}")
+    print(f"{label}: {'pass' if rep.passed else 'fail'} ({', '.join(bits)})")
+    return rep.passed
+
+
 def cmd_cleanmap(args):
+    if args.x and not args.tau_roundtrip:
+        raise PosetError("--x names the roundtrip element; it needs --tau-roundtrip")
     poset, ring = _load(args)
     selected = args.check_clean or args.check_linearity or args.tau_roundtrip
     run_clean = args.check_clean or not selected
@@ -240,47 +251,16 @@ def cmd_cleanmap(args):
         if run_clean:
             rep = check_clean(m, depth_bound=args.depth)
             reports.append({"cover": [u, l], **rep.to_json()})
-            print(
-                f"clean {u}>{l}: {'pass' if rep.passed else 'fail'} "
-                f"(depth <= {args.depth})"
-            )
-            ok = ok and rep.passed
+            ok = _print_status(f"clean {u}>{l}", rep) and ok
         if run_lin:
             rep = check_linearity(m, laurent_bound=args.box, depth_bound=args.depth)
             reports.append({"cover": [u, l], **rep.to_json()})
-            print(
-                f"linearity {u}>{l}: {'pass' if rep.passed else 'fail'} "
-                f"(|laurent| <= {args.box}, depth <= {args.depth})"
-            )
-            ok = ok and rep.passed
+            ok = _print_status(f"linearity {u}>{l}", rep) and ok
     if x is not None:
-        lowers = poset.lower_covers(x)
-        psi = cover_map(ring, x, lowers[0])
-        sigma = nonclean_automorphism(ring, x, ring.field.one)
-        phi = compose_maps(psi, sigma)
-        not_clean = not check_clean(phi, depth_bound=args.depth).passed
-        env = Envelope.of(ring, x)
-        box = list(env.monomial_box(args.box, depth_bound=args.depth))
-        tau = materialize_tau(phi, box)
-        psi_tau = compose_maps(psi, tau)
-        elems = (env.element({mon: ring.field.one}) for mon in box)
-        agree = all(psi_tau(e) == phi(e) for e in elems)
-        tau_inv = neumann_inverse(tau)
-        recovered = check_clean(compose_maps(phi, tau_inv), depth_bound=args.depth).passed
-        roundtrip_ok = not_clean and agree and recovered
-        reports.append(
-            {
-                "property": "base-change roundtrip",
-                "box": {"laurent": args.box, "depth": args.depth},
-                "status": "pass" if roundtrip_ok else "fail",
-                "at": x,
-            }
-        )
-        print(
-            f"tau roundtrip at {x}: {'pass' if roundtrip_ok else 'fail'} "
-            f"(|laurent| <= {args.box}, depth <= {args.depth})"
-        )
-        ok = ok and roundtrip_ok
+        lower = poset.lower_covers(x)[0]
+        rep = check_roundtrip(ring, x, lower, args.box, args.depth)
+        reports.append({"at": x, **rep.to_json()})
+        ok = _print_status(f"tau roundtrip at {x}", rep) and ok
     cert = {"poset": args.poset, "field": ring.field.name, "reports": reports}
     _write_cert(args, cert)
     return EXIT_OK if ok else EXIT_PROPERTY
@@ -306,22 +286,12 @@ def cmd_complex(args):
         )
         dd = verify_dd_zero(gc, laurent_bound=args.box, depth_bound=args.depth)
         rep["dd"] = dd.to_json()
-        print(
-            f"dd-zero: {'pass' if dd.passed else 'fail'} "
-            f"(|laurent| <= {args.box}, depth <= {args.depth}, "
-            f"checked {dd.checked})"
-        )
-        ok = ok and dd.passed
-        clean_ok = True
-        for (u, l), (_, m) in gc.maps.items():
-            crep = check_clean(m, depth_bound=args.clean_depth)
-            clean_ok = clean_ok and crep.passed
+        ok = _print_status("dd-zero", dd, with_checked=True) and ok
+        maps = [m for _, m in gc.maps.values()]
+        clean_ok = all(check_clean(m, args.clean_depth).passed for m in maps)
         rep["differentials_clean"] = clean_ok
-        print(
-            f"differentials clean: {'pass' if clean_ok else 'fail'} "
-            f"(depth <= {args.clean_depth})"
-        )
-        ok = ok and clean_ok
+        clean = CertReport("differentials clean", {"depth": args.clean_depth}, clean_ok)
+        ok = _print_status("differentials clean", clean) and ok
     _write_cert(args, rep)
     return EXIT_OK if ok else EXIT_PROPERTY
 

@@ -51,47 +51,38 @@ def build_gamma(ring) -> EnvelopeComplex:
 
 
 def _diamonds_below(env):
-    """Each rank-2 interval [w < x] at x = env.x as (w, middles, Laurent
-    positions, inverse positions), the positions being
-    ``env.active_positions(w)``."""
+    """Each rank-2 interval [w < x] at x = env.x as (w, middles)."""
     poset = env.ring.poset
     mids = {}
     for z in poset.lower_covers(env.x):
         for w in poset.lower_covers(z):
             mids.setdefault(w, []).append(z)
-    for w, zs in mids.items():
-        yield (w, zs, *env.active_positions(w))
+    return mids.items()
 
 
 def dd_sweep_size(ring, laurent_bound, depth_bound):
     """Number of source monomials ``verify_dd_zero`` expands at these bounds:
-    over every rank-2 interval, the (laurent_bound + 1)**2 exponents of its
-    two removed atoms times the active inverse vectors."""
-    total = 0
-    for x in ring.poset.elements:
-        if ring.poset.rank_of(x) < 2:
-            continue
-        env = Envelope.of(ring, x)
-        for _, _, lpos, ipos in _diamonds_below(env):
-            total += env.box_size(laurent_bound, depth_bound, lpos, ipos, 0)
-    return total
+    the active box of every rank-2 interval [w < x], the (laurent_bound +
+    1)**2 exponents of its two removed atoms times its active inverse
+    vectors."""
+    envs = [Envelope.of(ring, x) for x in ring.poset.elements]
+    return sum(
+        env.box_size(laurent_bound, depth_bound, w)
+        for env in envs
+        for w, _ in _diamonds_below(env)
+    )
 
 
 def verify_dd_zero(gc: EnvelopeComplex, laurent_bound=3, depth_bound=3) -> CertReport:
     """Check that consecutive signed differentials cancel, reporting
     cancellation per rank-2 interval.
 
-    Both composites of an interval [w < x] move only the coordinates
-    ``Envelope.active_positions(w)`` names, so each interval is swept over
-    those alone (inverse depth at most depth_bound, the rest zero), and a
-    pass holds for every value of the passive coordinates.  The active
-    Laurent positions are the interval's two removed atoms, and a composite
-    of covers kills every monomial with a positive exponent at one of them
-    (``CleanMap``), so their exponents run over [-laurent_bound, 0] only:
-    the monomials left out have leftover zero.  ``checked`` counts the full
-    box the sweep covers: at each x of rank at least two, the Laurent box
-    [-laurent_bound, laurent_bound] over its atoms times its inverse vectors
-    of bounded depth.
+    Each interval [w < x] is swept over the active box of the descent from
+    x to w (``Envelope.monomial_box``, which proves that the monomials it
+    skips leave no leftover and that a pass holds at every value of the
+    passive coordinates).  ``checked`` counts the full box the sweep covers:
+    at each x of rank at least two, the Laurent box [-laurent_bound,
+    laurent_bound] over its atoms times its inverse vectors of bounded depth.
 
     The witness is the first full-box monomial, in ``monomial_box`` order,
     of the first x with a failing interval, with its leftover at the least
@@ -117,16 +108,17 @@ def verify_dd_zero(gc: EnvelopeComplex, laurent_bound=3, depth_bound=3) -> CertR
             env = Envelope.of(ring, x)
             checked += env.box_size(laurent_bound, depth_bound)
             bad = []
-            for w, zs, lpos, ipos in _diamonds_below(env):
+            for w, zs in _diamonds_below(env):
                 routes = []
                 for z in zs:
                     (s1, m1), (s2, m2) = gc.maps[(x, z)], gc.maps[(z, w)]
                     (cd1,), (cd2,) = m1.covers, m2.covers
                     routes.append((s1 * s2, cd1, cd2))
-                box = env.monomial_box(laurent_bound, depth_bound, lpos, ipos, 0)
+                box = env.monomial_box(laurent_bound, depth_bound, w)
                 first = next((mon for mon in box if _leftover(routes, *mon)), None)
                 diamonds[(w, x)] = first is None
                 if first is not None:
+                    lpos, _ = env.active_positions(w)
                     lb = -laurent_bound
                     lau = tuple(e if p in lpos else lb for p, e in enumerate(first[0]))
                     bad.append((w, routes, (lau, first[1])))

@@ -339,12 +339,13 @@ class Envelope:
     def _inverse_vectors(self, depth_bound, positions=None):
         """Inverse vectors of depth at most depth_bound that are zero off the
         inverse positions (all by default), in lexicographic order.  Cached
-        per (depth_bound, positions): every box and every degree slice of
-        this envelope reads its inverse parts from here."""
-        key = (depth_bound, positions)
+        per (depth_bound, positions), all positions keyed as the default:
+        every box and every degree slice of this envelope reads its inverse
+        parts from here."""
+        pos = range(self.ninv) if positions is None else positions
+        key = (depth_bound, None if len(pos) == self.ninv else pos)
         cached = self._invcache.get(key)
         if cached is None:
-            pos = range(self.ninv) if positions is None else positions
             vecs = bounded_vectors([self._iweight[j] for j in pos], depth_bound)
             cached = self._invcache[key] = tuple(_spread(self.ninv, pos, vecs))
         return cached
@@ -398,41 +399,45 @@ class Envelope:
         out.sort()
         return out
 
-    def monomial_box(
-        self, laurent_bound, depth_bound=0, lpos=None, ipos=None, laurent_max=None
-    ):
+    def _box_axes(self, laurent_bound, w):
+        """(Laurent positions, inverse positions, Laurent range) of the box."""
+        _check_bound(laurent_bound, "Laurent bound")
+        if w is None:
+            lpos, ipos = range(self.natoms), range(self.ninv)
+            return lpos, ipos, range(-laurent_bound, laurent_bound + 1)
+        return (*self.active_positions(w), range(-laurent_bound, 1))
+
+    def monomial_box(self, laurent_bound, depth_bound=0, w=None):
         """Iterate the basis monomials with Laurent exponents in
         [-laurent_bound, laurent_bound] and depth at most depth_bound: inverse
         part outermost, each part in lexicographic order.
 
-        Given Laurent positions lpos and inverse positions ipos (ascending
-        tuples), only the monomials that are zero off them, in the same
-        order.  Given laurent_max, the Laurent exponents run over
-        [-laurent_bound, laurent_max] instead, still in the same order.
+        Given w below x, the active box of the descent from x to w, in the
+        same order: the monomials zero off ``active_positions(w)``, with
+        exponents in [-laurent_bound, 0] at the removed atoms (those of x not
+        below w); at w = x, the unit alone.  Every bounded certificate of a
+        descent sweeps it.  The passive coordinates come out of the descent
+        translated (``active_positions``), so what its maps do on the box they
+        do at every value of those coordinates.  A ``CleanMap`` m down to w
+        kills each monomial e positive at a removed atom, and the action never
+        lowers a Laurent exponent (``_step``), so m(e) and m(v e) vanish for
+        every variable v: e leaves no dd leftover and passes every linearity
+        probe.
         """
-        _check_bound(laurent_bound, "Laurent bound")
+        lpos, ipos, rng = self._box_axes(laurent_bound, w)
         invs = self._inverse_vectors(depth_bound, ipos)
-        lpos = range(self.natoms) if lpos is None else lpos
-        top = laurent_bound if laurent_max is None else laurent_max
-        rng = range(-laurent_bound, top + 1)
         return (
             (lau, inv)
             for inv in invs
             for lau in _spread(self.natoms, lpos, product(rng, repeat=len(lpos)))
         )
 
-    def box_size(
-        self, laurent_bound, depth_bound=0, lpos=None, ipos=None, laurent_max=None
-    ):
-        """Number of monomials ``monomial_box`` yields at the same arguments."""
-        _check_bound(laurent_bound, "Laurent bound")
-        nlau = self.natoms if lpos is None else len(lpos)
-        top = laurent_bound if laurent_max is None else laurent_max
-        pos = range(self.ninv) if ipos is None else ipos
-        weights = [self._iweight[j] for j in pos]
-        return (laurent_bound + top + 1) ** nlau * count_bounded_vectors(
-            weights, depth_bound
-        )
+    def box_size(self, laurent_bound, depth_bound=0, w=None):
+        """Number of monomials ``monomial_box`` yields at the same arguments,
+        computed without enumerating them."""
+        lpos, ipos, rng = self._box_axes(laurent_bound, w)
+        weights = [self._iweight[j] for j in ipos]
+        return len(rng) ** len(lpos) * count_bounded_vectors(weights, depth_bound)
 
     # ---------- distinguished subspaces ----------
 

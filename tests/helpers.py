@@ -465,7 +465,7 @@ def active_linearity_counts(env, w, laurent_bound, depth_bound):
     to w probes, counted on the full box's inverse vectors: those zero at
     every passive inverse coordinate (elements below w or not below x), and
     those at one on a single passive coordinate and zero on the rest, each
-    times the Laurent box over the atoms not below w."""
+    times the exponents in [-laurent_bound, 0] at the atoms not below w."""
     poset = env.ring.poset
     nlau = sum(1 for a in env.atoms if not poset.leq(a, w))
     passive = [
@@ -480,5 +480,5 @@ def active_linearity_counts(env, w, laurent_bound, depth_bound):
             active += 1
         elif on == [1]:
             lifted += 1
-    k = (2 * laurent_bound + 1) ** nlau
+    k = (laurent_bound + 1) ** nlau
     return k * active, k * lifted

@@ -20,11 +20,10 @@ from facering import (
     bundled_poset,
     chain_map,
     check_clean,
+    check_roundtrip,
     cohomology_dims_at,
     compose_maps,
     cover_map,
-    materialize_tau,
-    neumann_inverse,
     nonclean_automorphism,
     simplicial_oracle,
     verify_dd_zero,
@@ -267,19 +266,13 @@ def test_criterion_08_oracle_equivalence():
 def test_criterion_09_base_change_roundtrip():
     with _Timer(9, 60.0, "non-clean composite repaired by its conjugate"):
         ring = PolyRing(bundled_poset("p1"), QQ)
-        env = Envelope.of(ring, "x")
         psi = cover_map(ring, "x", "y1")
         sigma = nonclean_automorphism(ring, "x", ring.field.one)
         phi = compose_maps(psi, sigma)
         failure = check_clean(phi, depth_bound=4)
         assert not failure.passed and failure.witness is not None
-        box = list(env.monomial_box(3, depth_bound=3))
-        tau = materialize_tau(phi, box)
-        for mon in box:
-            e = env.element({mon: ring.field.one})
-            assert compose_maps(psi, tau)(e) == phi(e)
-        tau_inv = neumann_inverse(tau)
-        assert check_clean(compose_maps(phi, tau_inv), depth_bound=4).passed
+        rep = check_roundtrip(ring, "x", "y1", 3, 4)
+        assert rep.passed and rep.checked == Envelope.of(ring, "x").box_size(3, 4)
 
 
 def test_criterion_10_essential_witnesses():

@@ -13,6 +13,7 @@ from facering import (
     chain_map,
     check_clean,
     check_linearity,
+    check_roundtrip,
     compose_maps,
     cover_map,
     identity_map,
@@ -24,6 +25,7 @@ from facering import (
     tau_map,
     PolyRing,
 )
+from facering import cleanmap
 from facering.cleanmap import clean_sweep_size
 from facering.scalars import QQ, PrimeField
 
@@ -288,6 +290,56 @@ def test_tau_roundtrip(ring_p1, psi):
         e = env.element({mon: fld.one})
         assert tau(tau_inv(e)) == e
     assert check_clean(compose_maps(phi, tau_inv), depth_bound=4).passed
+
+
+def test_roundtrip_witness_is_first_disagreement(ring_p1, psi, monkeypatch):
+    # a conjugate skewed at positive depth off degree zero still repairs phi
+    # (the clean sweeps see degree zero only), but psi after it differs from
+    # phi by psi there: the sweep must stop at the first such box monomial
+    # that psi keeps, having counted the ones before it
+    env = Envelope.of(ring_p1, "x")
+    one = ring_p1.field.one
+    zero = (0,) * ring_p1.natoms
+    real = cleanmap.materialize_tau
+
+    def skew(mon):
+        return env.depth(mon) > 0 and env.degree(mon) != zero
+
+    def skewed(phi, mons):
+        tau = real(phi, mons)
+
+        def fn(elem):
+            off = {m: c for m, c in elem.terms.items() if skew(m)}
+            return tau(elem) + env.element(off)
+
+        return GradedEndomap(env, fn)
+
+    assert check_roundtrip(ring_p1, "x", "y1", 2, 3).passed
+    box = list(env.monomial_box(2, 3))
+    elems = [env.element({mon: one}) for mon in box]
+    first = next(k for k, e in enumerate(elems) if skew(box[k]) and psi(e))
+    monkeypatch.setattr(cleanmap, "materialize_tau", skewed)
+    rep = check_roundtrip(ring_p1, "x", "y1", 2, 3)
+    assert not rep.passed and rep.checked == first > 0
+    assert rep.witness == {"input": env.element_to_json(elems[first])}
+
+
+_ROUNDTRIP_FAKES = {
+    # phi becomes psi, which is clean
+    "nonclean_automorphism": lambda ring, x, lam: identity_map(ring, x),
+    # phi after the "inverse" stays phi, which is not clean
+    "neumann_inverse": lambda endo: GradedEndomap(endo.env, lambda e: e),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROUNDTRIP_FAKES))
+def test_roundtrip_needs_both_clean_verdicts(ring_p1, monkeypatch, name):
+    # psi after tau still equals phi on the whole box, so only the clean
+    # verdict can fail the report
+    monkeypatch.setattr(cleanmap, name, _ROUNDTRIP_FAKES[name])
+    rep = check_roundtrip(ring_p1, "x", "y1", 2, 3)
+    assert not rep.passed and rep.witness is None
+    assert rep.checked == Envelope.of(ring_p1, "x").box_size(2, 3)
 
 
 @pytest.mark.parametrize("field", (QQ, PrimeField(3)), ids=("Q", "F3"))

@@ -281,6 +281,16 @@ def test_roundtrip_element_checked_before_output(capsys):
         assert "of rank at least 2" in captured.err
 
 
+@pytest.mark.parametrize("x", ("nope", "x"))
+def test_x_without_roundtrip_is_a_usage_error(capsys, x):
+    # --x only names the roundtrip element, known or not
+    argv = ["cleanmap", "--poset", "p1", "--x", x, "--box", "1", "--depth", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs --tau-roundtrip" in captured.err
+
+
 @pytest.mark.parametrize(
     "poset, x, depth", [("p1", None, 1), ("solid_triangle", "123", 2)]
 )

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from facering import Envelope, EnvelopeElement, bundled_poset, PolyRing, envelope
 from facering.cleanmap import check_clean, check_linearity, cover_map
-from facering.complexes import _diamonds_below, build_gamma, verify_dd_zero
+from facering.complexes import build_gamma, verify_dd_zero
 from facering.envelope import bounded_vectors, count_bounded_vectors
 from facering.scalars import QQ, PrimeField
 
@@ -245,6 +245,16 @@ def test_degree_slices_share_one_enumeration(monkeypatch):
         assert len(calls) == 1, x
 
 
+def test_box_and_slice_share_full_inverse_vectors():
+    # at a top face the degree-zero slice may use every inverse position,
+    # and the box reads all of them by default: one cache entry serves both
+    ring = make_ring("solid_triangle")
+    env = Envelope(ring, "123")
+    list(env.monomial_box(1, 3))
+    env.monomials_of_degree((0, 0, 0), 3)
+    assert [key for key in env._invcache if key[0] == 3] == [(3, None)]
+
+
 def test_annihilator_p1(env_x, ring_p1):
     basis = env_x.annihilator_basis((1, 1), 3)
     assert len(basis) == 1
@@ -409,18 +419,11 @@ def test_bounded_vectors_match_brute_force(weights, budget):
     assert count_bounded_vectors(weights, budget) == len(brute)
 
 
-def _box_positions(env):
-    # every diamond's active positions, plus the full box and the empty one
-    yield None, None
-    yield (), ()
-    for _, _, lpos, ipos in _diamonds_below(env):
-        yield lpos, ipos
-
-
 @pytest.mark.parametrize("name", ALL_BUNDLED)
 def test_box_size_counts_monomial_box(name):
     ring = make_ring(name)
-    for x in ring.poset.elements:
+    poset = ring.poset
+    for x in poset.elements:
         env = Envelope.of(ring, x)
         for lb, db in product((0, 1, 2), (0, 1, 3)):
             full = list(env.monomial_box(lb, db))
@@ -428,23 +431,23 @@ def test_box_size_counts_monomial_box(name):
             assert all(
                 env.depth(m) <= db and all(abs(e) <= lb for e in m[0]) for m in full
             )
-            for lpos, ipos in _box_positions(env):
-                box = list(env.monomial_box(lb, db, lpos, ipos))
-                assert env.box_size(lb, db, lpos, ipos) == len(box), (x, lpos, ipos)
-                if lpos is None:
+            assert env.box_size(lb, db) == len(full), (x, lb, db)
+            # the active box of each descent: zero off the active positions,
+            # the removed atoms' exponents at most zero
+            for w in poset.elements:
+                if not poset.leq(w, x):
                     continue
-                loff = [i for i in range(env.natoms) if i not in lpos]
-                ioff = [j for j in range(env.ninv) if j not in ipos]
+                lpos, ipos = env.active_positions(w)
                 want = [
                     (lau, inv)
                     for lau, inv in full
-                    if not any(lau[i] for i in loff) and not any(inv[j] for j in ioff)
+                    if all(e <= 0 if i in lpos else e == 0 for i, e in enumerate(lau))
+                    and all(e == 0 for j, e in enumerate(inv) if j not in ipos)
                 ]
-                assert box == want, (x, lpos, ipos, lb, db)
-                # the same box with its Laurent exponents capped at zero
-                low = list(env.monomial_box(lb, db, lpos, ipos, laurent_max=0))
-                assert low == [m for m in box if max(m[0], default=0) <= 0]
-                assert env.box_size(lb, db, lpos, ipos, laurent_max=0) == len(low)
+                box = list(env.monomial_box(lb, db, w))
+                assert box == want, (x, w, lb, db)
+                assert env.box_size(lb, db, w) == len(box), (x, w, lb, db)
+            assert list(env.monomial_box(lb, db, x)) == [env.unit_mon]
 
 
 def test_negative_bounds_raise(ring_p1):
@@ -454,7 +457,9 @@ def test_negative_bounds_raise(ring_p1):
         lambda: count_bounded_vectors((1, 2), -1),
         lambda: env.monomial_box(-1, 2),
         lambda: env.monomial_box(1, -1),
-        lambda: env.monomial_box(1, -1, (0,), (1,)),
+        lambda: env.monomial_box(-1, 2, "y1"),
+        lambda: env.monomial_box(1, -1, "y1"),
+        lambda: env.box_size(1, -1, "y1"),
         lambda: env.box_size(-1, 2),
         lambda: env.box_size(1, -1),
         lambda: env.monomials_of_degree((0, 0), -1),

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
 import facering
@@ -69,3 +70,13 @@ def test_benchmark_names_exist():
         if obj is None:
             missing.append(name)
     assert missing == []
+
+
+def test_box_and_its_size_take_the_same_parameters():
+    # box_size counts what monomial_box yields at the same arguments
+    box = inspect.signature(facering.Envelope.monomial_box).parameters
+    size = inspect.signature(facering.Envelope.box_size).parameters
+    assert [(p.name, p.default) for p in box.values()] == [
+        (p.name, p.default) for p in size.values()
+    ]
+    assert list(box) == ["self", "laurent_bound", "depth_bound", "w"]
