@@ -559,9 +559,13 @@ def check_roundtrip(ring, x, lower, laurent_bound, depth_bound):
     and tau its base-change conjugate.  The cover map after tau must equal
     phi on every box monomial; the witness is the first where it does not.
     The report passes only if that holds, phi is not clean and phi after
-    the series inverse of tau is clean, both to depth_bound.
+    the series inverse of tau is clean, both to depth_bound.  phi perturbs
+    through t_x^-1, so a depth_bound below rank(x) raises ValueError.
     """
     psi = cover_map(ring, x, lower)
+    rank = ring.poset.rank_of(x)
+    if depth_bound < rank:
+        raise ValueError(f"the roundtrip at {x!r} needs depth_bound {rank} or more")
     phi = compose_maps(psi, nonclean_automorphism(ring, x, ring.field.one))
     not_clean = not check_clean(phi, depth_bound=depth_bound).passed
     env = phi.source_env

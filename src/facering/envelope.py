@@ -25,7 +25,7 @@ from itertools import product
 from operator import add
 
 from .linalg import kernel_basis
-from .scalars import add_term
+from .scalars import Combination, add_term
 
 
 def _check_bound(value, what):
@@ -74,8 +74,9 @@ def _spread(n, positions, vectors):
         yield tuple(vec)
 
 
-class EnvelopeElement:
-    """Finite combination of basis monomials of one envelope."""
+class EnvelopeElement(Combination):
+    """Finite combination of basis monomials of one envelope; a
+    ``Combination``, not hashable."""
 
     __slots__ = ("env", "terms")
 
@@ -83,40 +84,8 @@ class EnvelopeElement:
         self.env = env
         self.terms = terms
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EnvelopeElement)
-            and self.env is other.env
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        if self.env is not other.env:
-            raise ValueError("elements live in different envelopes")
-        merged = dict(self.terms)
-        for m, c in other.terms.items():
-            add_term(merged, m, c)
-        return EnvelopeElement(self.env, merged)
-
-    def __neg__(self):
-        return EnvelopeElement(self.env, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if not c:
-            return EnvelopeElement(self.env, {})
-        return EnvelopeElement(self.env, {m: v * c for m, v in self.terms.items()})
-
-    def coefficient(self, mon):
-        return self.terms.get(mon, self.env.ring.field.zero)
+    def _parent(self):
+        return self.env
 
     def max_depth(self):
         return max((self.env.depth(m) for m in self.terms), default=0)

@@ -17,11 +17,12 @@ from __future__ import annotations
 import re
 import weakref
 
-from .scalars import QQ, add_term
+from .scalars import QQ, Combination, add_term
 
 
-class Polynomial:
-    """Sparse polynomial: terms map exponent tuples to nonzero scalars."""
+class Polynomial(Combination):
+    """Sparse polynomial: terms map exponent tuples to nonzero scalars.
+    A ``Combination`` that also multiplies, and hashes by its terms."""
 
     __slots__ = ("ring", "terms")
 
@@ -29,34 +30,11 @@ class Polynomial:
         self.ring = ring
         self.terms = terms
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.ring is other.ring
-            and self.terms == other.terms
-        )
+    def _parent(self):
+        return self.ring
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        self.ring._check(other)
-        merged = dict(self.terms)
-        for m, c in other.terms.items():
-            add_term(merged, m, c)
-        return Polynomial(self.ring, merged)
-
-    def __neg__(self):
-        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -67,11 +45,6 @@ class Polynomial:
             for m2, c2 in other.terms.items():
                 add_term(out, tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
         return Polynomial(self.ring, out)
-
-    def scale(self, c):
-        if not c:
-            return Polynomial(self.ring, {})
-        return Polynomial(self.ring, {m: v * c for m, v in self.terms.items()})
 
     def is_homogeneous(self):
         degs = {self.ring.monomial_degree(m) for m in self.terms}
@@ -114,26 +87,21 @@ class PolyRing:
         self._vrank = tuple(poset.rank_of(x) for x in self.variables)
         self._zero_mon = (0,) * self.nvars
 
-        comp = {}
+        # rewrite data for each incomparable pair k1 < k2, in that order:
+        # (meet index or None, join indices)
+        rw = {}
         for k1 in range(self.nvars):
             for k2 in range(k1 + 1, self.nvars):
                 x, y = self.variables[k1], self.variables[k2]
-                comp[(k1, k2)] = poset.leq(x, y) or poset.leq(y, x)
-        self._comparable = comp
-
-        # rewrite data for each incomparable pair: (meet index or None, join indices)
-        rw = {}
-        for (k1, k2), comparable in comp.items():
-            if comparable:
-                continue
-            x, y = self.variables[k1], self.variables[k2]
-            joins = tuple(self._vidx[z] for z in poset.join_set((x, y)))
-            if joins:
-                m = poset.meet(x, y)
-                meet_idx = None if m == poset.bottom else self._vidx[m]
-            else:
-                meet_idx = None
-            rw[(k1, k2)] = (meet_idx, joins)
+                if poset.leq(x, y) or poset.leq(y, x):
+                    continue
+                joins = tuple(self._vidx[z] for z in poset.join_set((x, y)))
+                if joins:
+                    m = poset.meet(x, y)
+                    meet_idx = None if m == poset.bottom else self._vidx[m]
+                else:
+                    meet_idx = None
+                rw[(k1, k2)] = (meet_idx, joins)
         self._rewrite = rw
 
         self._generators = None
@@ -228,22 +196,18 @@ class PolyRing:
         if self._generators is None:
             one = self.field.one
             out = []
-            for k1 in range(self.nvars):
-                for k2 in range(k1 + 1, self.nvars):
-                    if self._comparable[(k1, k2)]:
-                        continue
-                    meet_idx, joins = self._rewrite[(k1, k2)]
-                    lead = list(self._zero_mon)
-                    lead[k1] += 1
-                    lead[k2] += 1
-                    terms = {tuple(lead): one}
-                    for z in joins:
-                        tail = list(self._zero_mon)
-                        if meet_idx is not None:
-                            tail[meet_idx] += 1
-                        tail[z] += 1
-                        add_term(terms, tuple(tail), -one)
-                    out.append(terms)
+            for (k1, k2), (meet_idx, joins) in self._rewrite.items():
+                lead = list(self._zero_mon)
+                lead[k1] += 1
+                lead[k2] += 1
+                terms = {tuple(lead): one}
+                for z in joins:
+                    tail = list(self._zero_mon)
+                    if meet_idx is not None:
+                        tail[meet_idx] += 1
+                    tail[z] += 1
+                    add_term(terms, tuple(tail), -one)
+                out.append(terms)
             self._generators = tuple(out)
         return tuple(Polynomial(self, terms) for terms in self._generators)
 
@@ -354,7 +318,7 @@ class PolyRing:
         support = [k for k, e in enumerate(mon) if e]
         for a, i in enumerate(support):
             for j in support[a + 1:]:
-                if not self._comparable[(i, j)]:
+                if (i, j) in self._rewrite:
                     return (i, j)
         return None
 
@@ -363,7 +327,7 @@ class PolyRing:
         best = None
         for a, i in enumerate(support):
             for j in support[a + 1:]:
-                if not self._comparable[(i, j)]:
+                if (i, j) in self._rewrite:
                     best = (i, j)
         return best
 

@@ -192,3 +192,45 @@ def add_term(terms, key, c):
             terms[key] = s
         else:
             del terms[key]
+
+
+class Combination:
+    """The arithmetic Polynomial and EnvelopeElement share: a ``terms`` dict
+    of keys to nonzero exact scalars, with a parent ring or envelope named by
+    ``_parent()``.  Results keep the subclass and parent; sums across parents
+    raise ValueError, and equality across them is False."""
+
+    __slots__ = ()
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and other._parent() is self._parent()
+            and self.terms == other.terms
+        )
+
+    def __add__(self, other):
+        parent = self._parent()
+        if not isinstance(other, Combination) or other._parent() is not parent:
+            raise ValueError(f"operand is not an element of this {type(parent).__name__}")
+        merged = dict(self.terms)
+        for m, c in other.terms.items():
+            add_term(merged, m, c)
+        return type(self)(parent, merged)
+
+    def __neg__(self):
+        return type(self)(self._parent(), {m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        if not c:
+            return type(self)(self._parent(), {})
+        return type(self)(self._parent(), {m: v * c for m, v in self.terms.items()})

@@ -644,3 +644,13 @@ def test_clean_sweep_size_counts_the_sweep(name):
         for depth in range(5):
             want = len(env.monomials_of_degree(zero, depth, depth_min=1))
             assert clean_sweep_size(env, depth) == want, (x, depth)
+
+
+def test_roundtrip_refuses_a_box_shallower_than_the_perturbation():
+    # phi perturbs through t[123]^-1, of depth 3: at depth 2 it looks clean,
+    # so a sweep there could only fail, with no witness
+    ring = make_ring("tetrahedron_boundary")
+    with pytest.raises(ValueError, match="needs depth_bound 3 or more"):
+        check_roundtrip(ring, "123", "12", 1, 2)
+    rep = check_roundtrip(ring, "123", "12", 1, 3)
+    assert rep.passed and rep.checked == Envelope.of(ring, "123").box_size(1, 3)

@@ -550,3 +550,20 @@ def test_element_printer(field, coeff, shown):
         f"<at x: ({shown})*(t[y1]^2*t[y2]^-1 (x) t[x]^-1)"
         " + (1)*(t[y2] (x) t[z]^-2) + (1)*(1 (x) 1)>"
     )
+
+
+def test_sums_across_envelopes_raise(ring_p1):
+    same_ring = Envelope.of(ring_p1, "y1").unit()
+    other_ring = Envelope.of(PolyRing(bundled_poset("p1"), QQ), "x").unit()
+    e = Envelope.of(ring_p1, "x").unit()
+    for f in (same_ring, other_ring):
+        for op in (lambda: e + f, lambda: e - f, lambda: f + e, lambda: f - e):
+            with pytest.raises(ValueError):
+                op()
+        assert e != f and f != e
+
+
+def test_elements_are_not_hashable(env_x):
+    with pytest.raises(TypeError):
+        hash(env_x.unit())
+    assert type(env_x.unit() - env_x.unit()) is EnvelopeElement

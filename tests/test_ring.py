@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from facering import PolyRing, bundled_poset
+from facering import Envelope, PolyRing, bundled_poset
 from facering.scalars import QQ, PrimeField
 
 from helpers import ALL_BUNDLED, RP2_FACETS, face_poset, make_ring, random_polynomial
@@ -362,3 +362,30 @@ def test_poly_json(ring_p1):
             {"coeff": "-1", "monomial": {"x": 1}},
         ]
     }
+
+
+# ---------- shared arithmetic across parents ----------
+
+def test_sums_across_rings_raise(ring_p1):
+    other = PolyRing(bundled_poset("p1"), QQ)
+    f, g = ring_p1.variable("x"), other.variable("x")
+    for op in (lambda: f + g, lambda: f - g, lambda: g + f, lambda: g - f):
+        with pytest.raises(ValueError):
+            op()
+    assert f != g and f.terms == g.terms
+
+
+def test_sums_with_envelope_elements_raise(ring_p1):
+    f, e = ring_p1.one(), Envelope.of(ring_p1, "x").unit()
+    for op in (lambda: f + e, lambda: f - e, lambda: e + f, lambda: e - f):
+        with pytest.raises(ValueError):
+            op()
+    assert f != e and e != f
+
+
+def test_polynomials_hash_by_value(ring_p1):
+    f = ring_p1.parse("t[y1]*t[y2] - t[x]")
+    g = ring_p1.variable("y1") * ring_p1.variable("y2") - ring_p1.variable("x")
+    assert f == g and f is not g
+    assert len({f, g, f + ring_p1.zero()}) == 1
+    assert type(f + g) is type(-f) is type(f.scale(QQ.from_int(2))) is type(f)

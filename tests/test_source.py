@@ -41,6 +41,33 @@ def test_profiled_functions_exist():
         assert callable(obj), f"facering.{module}.{qualname} is missing"
 
 
+def test_profiled_functions_are_defined_where_named():
+    # an inherited method resolves too, but its code object is the base's:
+    # an EnvelopeElement.__init__ taken from a shared base would also count
+    # every Polynomial as an envelope element
+    path = PERFBENCH / "profiling.py"
+    spec = importlib.util.spec_from_file_location("perfbench_profiling", path)
+    profiling = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(profiling)
+    for module, qualname in (
+        *profiling.CALL_COUNTS.values(),
+        *profiling.INCLUSIVE.values(),
+    ):
+        obj = getattr(facering, module)
+        for part in qualname.split("."):
+            obj = getattr(obj, part)
+        assert (obj.__module__, obj.__qualname__) == (f"facering.{module}", qualname)
+
+
+def test_combination_arithmetic_is_defined_once():
+    # Polynomial and EnvelopeElement take these from scalars.Combination
+    shared = {"is_zero", "__bool__", "__eq__", "__add__", "__neg__", "__sub__", "scale"}
+    assert shared <= set(facering.scalars.Combination.__dict__)
+    for cls in (facering.Polynomial, facering.EnvelopeElement):
+        assert issubclass(cls, facering.scalars.Combination)
+        assert shared.isdisjoint(cls.__dict__), cls.__name__
+
+
 def _benchmark_names():
     """Every dotted name the benchmark reads off its facering module,
     which it binds to ``fr``: the longest attribute chain on that name."""
