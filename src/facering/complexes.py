@@ -246,9 +246,10 @@ def simplicial_oracle(poset, a, field=QQ):
     aligned to the scalar complex's indices.
 
     Only valid on face posets of simplicial complexes (all pairwise join
-    sets have at most one element).  Built from scratch, with its own
-    boundary matrices and its own elimination, so it shares no code path
-    with the scalar complex.
+    sets have at most one element, read off the poset's join table).  Built
+    from scratch, with its own boundary matrices and its own elimination
+    (``_oracle_rank``), so it shares no code path with the scalar complex.
+    The boundary entries are the ints 1 and -1, written p - 1 over F_p.
     """
     if not poset.is_face_poset_of_complex():
         raise ValueError("poset is not the face poset of a simplicial complex")
@@ -261,7 +262,7 @@ def simplicial_oracle(poset, a, field=QQ):
     if any(v < 0 for v in a):
         return dims
     vertex_set = frozenset(atoms[g] for g, v in enumerate(a) if v > 0)
-    faces = {frozenset(poset.atoms_below(x)) for x in poset.elements}
+    faces = {poset.atom_set(x) for x in poset.elements}
     selected = sorted(
         tuple(sorted(f - vertex_set)) for f in faces if vertex_set <= f
     )
@@ -271,7 +272,8 @@ def simplicial_oracle(poset, a, field=QQ):
     for g in selected:
         by_card.setdefault(len(g), []).append(g)
     pos = {m: {g: k for k, g in enumerate(lst)} for m, lst in by_card.items()}
-    one, zero = field.one, field.zero
+    p = field.char
+    minus_one = p - 1 if p else -1
     ranks = {}
     for m, lst in sorted(by_card.items()):
         if m == 0:
@@ -280,13 +282,13 @@ def simplicial_oracle(poset, a, field=QQ):
         if not below:
             ranks[m] = 0
             continue
-        rows = [[zero] * len(lst) for _ in below]
+        rows = [[0] * len(lst) for _ in below]
         bidx = pos[m - 1]
         for j, g in enumerate(lst):
             for t in range(m):
                 h = g[:t] + g[t + 1:]
-                rows[bidx[h]][j] = one if t % 2 == 0 else -one
-        ranks[m] = _oracle_rank(rows)
+                rows[bidx[h]][j] = 1 if t % 2 == 0 else minus_one
+        ranks[m] = _oracle_rank(rows, p)
     shift = len(vertex_set)
     for m in by_card:
         c = len(by_card[m])
@@ -294,22 +296,44 @@ def simplicial_oracle(poset, a, field=QQ):
     return dims
 
 
-def _oracle_rank(rows):
-    # plain exact Gaussian elimination, deliberately separate from linalg
+def _oracle_rank(rows, p):
+    """Rank of rows, lists of ints, over the field of characteristic p (0
+    for Q); rows is consumed.  Over F_p the entries must be residues in
+    [0, p).
+
+    Deliberately separate from ``linalg``, in code and in algorithm.  Over
+    F_p it is Gaussian elimination on residues: the pivot row is scaled by
+    the pivot's inverse, pow(piv, -1, p), and cleared from the rows below.
+    Over Q it is fraction-free Bareiss elimination: each row below becomes
+    (piv*row_i - f*row_r) / prev, with prev the previous pivot (1 at the
+    start).  Each entry is then a minor of the input (Sylvester's
+    identity), so the division is exact, and an entry is zero exactly where
+    field-scalar elimination has a zero: the pivot columns, and so the
+    rank, are the same.
+    """
     m = len(rows)
     n = len(rows[0]) if m else 0
     rank = 0
+    prev = 1
     for c in range(n):
-        p = next((i for i in range(rank, m) if rows[i][c]), None)
-        if p is None:
+        k = next((i for i in range(rank, m) if rows[i][c]), None)
+        if k is None:
             continue
-        rows[rank], rows[p] = rows[p], rows[rank]
-        piv = rows[rank][c]
-        rows[rank] = [v / piv for v in rows[rank]]
-        for i in range(rank + 1, m):
-            f = rows[i][c]
-            if f:
-                rows[i] = [u - f * v for u, v in zip(rows[i], rows[rank])]
+        rows[rank], rows[k] = rows[k], rows[rank]
+        row = rows[rank]
+        piv = row[c]
+        if p:
+            inv = pow(piv, -1, p)
+            row = rows[rank] = [v * inv % p for v in row]
+            for i in range(rank + 1, m):
+                f = rows[i][c]
+                if f:
+                    rows[i] = [(u - f * v) % p for u, v in zip(rows[i], row)]
+        else:
+            for i in range(rank + 1, m):
+                f = rows[i][c]
+                rows[i] = [(piv * u - f * v) // prev for u, v in zip(rows[i], row)]
+            prev = piv
         rank += 1
         if rank == m:
             break

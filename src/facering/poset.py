@@ -5,14 +5,14 @@ a boolean algebra.  Elements are identified by their display names.  The atom
 order is the order of first appearance among rank-1 elements in the input,
 and every sign and basis convention downstream derives from it, so results
 are reproducible bit for bit.  Instances are immutable after construction and
-safe for concurrent reads.
+safe for concurrent reads; the tables derived from them (the join table, the
+complex test) are built on first use and kept.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 
 
 class PosetError(ValueError):
@@ -114,6 +114,7 @@ class SimplicialPoset:
             for i in range(n)
         )
         self._atom_sets = tuple(frozenset(t) for t in self._atoms_below)
+        self._join_table = None
         self._is_complex = None
 
     # ---------- construction ----------
@@ -193,16 +194,18 @@ class SimplicialPoset:
     # ---------- joins, meets, signs ----------
 
     def join_set(self, xs):
-        """Minimal common upper bounds of a nonempty collection; may be empty."""
+        """Minimal common upper bounds of a nonempty collection; may be empty.
+
+        The one owner of that rule: ``join_table`` reads its pairs here.  A
+        common upper bound u is minimal when it is the only common upper
+        bound below itself.
+        """
         idxs = [self._idx[x] for x in xs]
         if not idxs:
             raise ValueError("join of an empty collection")
+        below = self._below
         common = frozenset.intersection(*(self._above[i] for i in idxs))
-        minimal = [
-            u
-            for u in common
-            if not any(v != u and u in self._above[v] for v in common)
-        ]
+        minimal = [u for u in common if len(below[u] & common) == 1]
         return tuple(self.names[i] for i in sorted(minimal))
 
     def meet(self, a, b):
@@ -264,16 +267,56 @@ class SimplicialPoset:
                     out.append((top,) + ch)
         return out
 
+    def join_table(self):
+        """Rewrite data of every incomparable pair of proper elements, as
+        {(k1, k2): (meet position or None, join positions)}, with positions
+        k1 < k2 in ``proper_elements`` order and the pairs in that order.
+
+        The meet position is None when the meet is the bottom or the join
+        set is empty.  Built from ``join_set`` and ``meet`` on the first call
+        and kept, so every ring on the poset shares this one dict; callers
+        must not change it.  Raises ``PosetError`` where ``meet`` does: on a
+        pair with common upper bounds but no largest common lower bound.
+        """
+        if self._join_table is None:
+            proper = self.proper_elements
+            pos = {x: k for k, x in enumerate(proper)}
+            below = self._below
+            bottom = self.bottom
+            table = {}
+            for k1, x in enumerate(proper):
+                ix = self._idx[x]
+                for k2 in range(k1 + 1, len(proper)):
+                    y = proper[k2]
+                    iy = self._idx[y]
+                    if ix in below[iy] or iy in below[ix]:
+                        continue
+                    joins = tuple(pos[z] for z in self.join_set((x, y)))
+                    m = self.meet(x, y) if joins else bottom
+                    table[(k1, k2)] = (None if m == bottom else pos[m], joins)
+            self._join_table = table
+        return self._join_table
+
     def is_face_poset_of_complex(self):
         """True when every pairwise join set has at most one element.
 
-        Computed on the first call and kept: the poset never changes.
+        A comparable pair has exactly one join, its larger element, so only
+        the incomparable pairs of ``join_table`` are read.  Where that table
+        cannot be built, some meet(x, y) has two maximal common lower bounds
+        p and q, and then p and q have two joins: x is a common upper bound
+        of p and q, so they have a join; a single join would lie below every
+        common upper bound, x and y among them, and strictly above p, which
+        would then not be maximal.  So the answer there is False, and the
+        test returns it rather than raising.  Computed on the first call and
+        kept: the poset never changes.
         """
         if self._is_complex is None:
-            self._is_complex = all(
-                len(self.join_set((p, q))) <= 1
-                for p, q in combinations(self.names, 2)
-            )
+            try:
+                table = self.join_table()
+            except PosetError:
+                self._is_complex = False
+            else:
+                self._is_complex = all(len(j) <= 1 for _, j in table.values())
         return self._is_complex
 
 

@@ -87,22 +87,9 @@ class PolyRing:
         self._vrank = tuple(poset.rank_of(x) for x in self.variables)
         self._zero_mon = (0,) * self.nvars
 
-        # rewrite data for each incomparable pair k1 < k2, in that order:
-        # (meet index or None, join indices)
-        rw = {}
-        for k1 in range(self.nvars):
-            for k2 in range(k1 + 1, self.nvars):
-                x, y = self.variables[k1], self.variables[k2]
-                if poset.leq(x, y) or poset.leq(y, x):
-                    continue
-                joins = tuple(self._vidx[z] for z in poset.join_set((x, y)))
-                if joins:
-                    m = poset.meet(x, y)
-                    meet_idx = None if m == poset.bottom else self._vidx[m]
-                else:
-                    meet_idx = None
-                rw[(k1, k2)] = (meet_idx, joins)
-        self._rewrite = rw
+        # rewrite data of each incomparable pair k1 < k2, shared by every
+        # ring on the poset: (meet index or None, join indices)
+        self._rewrite = poset.join_table()
 
         self._generators = None
         self._relation_terms = None
@@ -115,8 +102,8 @@ class PolyRing:
         return f"PolyRing({len(self.variables)} variables over {self.field!r})"
 
     def _check(self, f):
-        if f.ring is not self:
-            raise ValueError("polynomial belongs to a different ring")
+        if not isinstance(f, Polynomial) or f.ring is not self:
+            raise ValueError("not a polynomial of this ring")
 
     # ---------- constructors ----------
 
@@ -195,6 +182,7 @@ class PolyRing:
         """
         if self._generators is None:
             one = self.field.one
+            minus_one = -one
             out = []
             for (k1, k2), (meet_idx, joins) in self._rewrite.items():
                 lead = list(self._zero_mon)
@@ -206,7 +194,7 @@ class PolyRing:
                     if meet_idx is not None:
                         tail[meet_idx] += 1
                     tail[z] += 1
-                    add_term(terms, tuple(tail), -one)
+                    add_term(terms, tuple(tail), minus_one)
                 out.append(terms)
             self._generators = tuple(out)
         return tuple(Polynomial(self, terms) for terms in self._generators)

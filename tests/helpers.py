@@ -29,6 +29,13 @@ RP2_FACETS = (
     "124", "126", "135", "136", "145", "234", "235", "256", "346", "456",
 )
 
+# the seven-vertex torus: {i, i+1, i+3} and {i, i+2, i+3} mod 7
+TORUS7_FACETS = tuple(
+    "".join(sorted(str((i + s) % 7 + 1) for s in shift))
+    for i in range(7)
+    for shift in ((0, 1, 3), (0, 2, 3))
+)
+
 
 def face_poset(facets):
     """Face poset of the simplicial complex with these facets, each a string
@@ -43,6 +50,29 @@ def face_poset(facets):
         (f, f[:t] + f[t + 1:] or "0") for f in names[1:] for t in range(len(f))
     ]
     return SimplicialPoset(names, covers)
+
+
+def glued_pair(facet):
+    """Two copies of the simplex on the labels of facet, glued along their
+    boundary: the face poset of its boundary plus two tops, "A" and "B".
+    A simplicial poset that is not the face poset of a complex."""
+    boundary = face_poset(
+        ["".join(f) for f in combinations(sorted(facet), len(facet) - 1)]
+    )
+    top = [f for f in boundary.elements if len(f) == len(facet) - 1]
+    covers = [list(c) for c in boundary.covers]
+    covers += [[t, f] for t in ("A", "B") for f in top]
+    return SimplicialPoset(list(boundary.elements) + ["A", "B"], covers)
+
+
+def no_meet_poset():
+    """Two atoms a, b with two joins c, d, both below e: c and d have no
+    meet, since a and b are both maximal below them.  Not simplicial."""
+    return SimplicialPoset(
+        ["0", "a", "b", "c", "d", "e"],
+        [["a", "0"], ["b", "0"], ["c", "a"], ["c", "b"], ["d", "a"], ["d", "b"],
+         ["e", "c"], ["e", "d"]],
+    )
 
 
 def make_ring(name, field=QQ):
@@ -375,6 +405,64 @@ def reference_kernel_basis(rows, ncols, field):
             vec[c] = -mat[i][f]
         basis.append(vec)
     return basis
+
+
+def reference_oracle_rank(rows):
+    """Field-scalar rank by the simplicial oracle's former elimination,
+    kept verbatim: ``complexes._oracle_rank`` is checked against it."""
+    # plain exact Gaussian elimination, deliberately separate from linalg
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    rank = 0
+    for c in range(n):
+        p = next((i for i in range(rank, m) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        piv = rows[rank][c]
+        rows[rank] = [v / piv for v in rows[rank]]
+        for i in range(rank + 1, m):
+            f = rows[i][c]
+            if f:
+                rows[i] = [u - f * v for u, v in zip(rows[i], rows[rank])]
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
+def reference_is_complex(poset):
+    """The face-poset test by its definition: every pair of elements has
+    at most one minimal common upper bound."""
+    return all(
+        len(poset.join_set((p, q))) <= 1 for p, q in combinations(poset.names, 2)
+    )
+
+
+def reference_generators(ring):
+    """Term dicts of the defining relations, built pair by pair from
+    ``join_set`` and ``meet`` in the ring's variable order."""
+    poset, field = ring.poset, ring.field
+    pos = {x: k for k, x in enumerate(ring.variables)}
+    out = []
+    for k1, k2 in combinations(range(ring.nvars), 2):
+        x, y = ring.variables[k1], ring.variables[k2]
+        if poset.leq(x, y) or poset.leq(y, x):
+            continue
+        lead = [0] * ring.nvars
+        lead[k1] += 1
+        lead[k2] += 1
+        terms = {tuple(lead): field.one}
+        joins = poset.join_set((x, y))
+        meet = poset.meet(x, y) if joins else poset.bottom
+        for z in joins:
+            tail = [0] * ring.nvars
+            if meet != poset.bottom:
+                tail[pos[meet]] += 1
+            tail[pos[z]] += 1
+            add_term(terms, tuple(tail), -field.one)
+        out.append(terms)
+    return out
 
 
 def reference_linearity_sweep(m, laurent_bound, depth_bound):

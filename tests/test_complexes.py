@@ -18,16 +18,26 @@ from facering import (
     verify_dd_zero,
 )
 from facering import complexes
-from facering.complexes import dd_sweep_size
-from facering.scalars import QQ, PrimeField
+from facering.complexes import _oracle_rank, dd_sweep_size
+from facering.scalars import PRIME_BOUND, QQ, PrimeField, _is_prime
 
 from helpers import (
     ALL_BUNDLED,
     COMPLEX_BUNDLED,
     RP2_FACETS,
+    TORUS7_FACETS,
     face_poset,
     make_ring,
     reference_dd_sweep,
+    reference_oracle_rank,
+)
+
+ORACLE_FIELDS = (
+    QQ,
+    PrimeField(2),
+    PrimeField(3),
+    PrimeField(5),
+    PrimeField(next(q for q in range(PRIME_BOUND - 2, 0, -2) if _is_prime(q))),
 )
 
 
@@ -414,6 +424,58 @@ def test_oracle_uses_no_linalg(monkeypatch):
     monkeypatch.setattr(complexes, "bareiss_rank", refuse)
     got = [simplicial_oracle(bundled_poset(n), a, f) for n, a, f in cases]
     assert got == want
+
+
+def _reference_rank(rows, field):
+    """Rank of int rows by the field-scalar reference elimination."""
+    return reference_oracle_rank([[field.from_int(v) for v in r] for r in rows])
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.name)
+def test_oracle_rank_matches_reference_on_random_matrices(field):
+    rng = random.Random(1991)
+    p = field.char
+    for _ in range(200):
+        m, n = rng.randint(1, 12), rng.randint(1, 12)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.5:
+            # a negated copy of a row, or a zero column, lowers the rank
+            rows[rng.randrange(m)] = [-v for v in rows[rng.randrange(m)]]
+            c = rng.randrange(n)
+            for r in rows[: rng.randint(0, m)]:
+                r[c] = 0
+        want = _reference_rank(rows, field)
+        got = _oracle_rank([[v % p if p else v for v in r] for r in rows], p)
+        assert got == want, (field.name, rows)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.name)
+def test_oracle_rank_matches_reference_on_boundary_matrices(field, monkeypatch):
+    seen = []
+
+    def recording(rows, p):
+        seen.append(([list(r) for r in rows], p))
+        return _oracle_rank(rows, p)
+
+    monkeypatch.setattr(complexes, "_oracle_rank", recording)
+    posets = [bundled_poset(name) for name in COMPLEX_BUNDLED]
+    posets += [face_poset(RP2_FACETS), face_poset(TORUS7_FACETS)]
+    for poset in posets:
+        for a in product(range(2), repeat=len(poset.atoms)):
+            simplicial_oracle(poset, a, field)
+    assert len(seen) > 100
+    for rows, p in seen:
+        assert p == field.char
+        assert all(v in (1, p - 1 if p else -1, 0) for r in rows for v in r)
+        assert _oracle_rank([list(r) for r in rows], p) == _reference_rank(rows, field)
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(2), PrimeField(3)), ids=lambda f: f.name)
+def test_oracle_matches_every_rp2_slice(field):
+    poset = face_poset(RP2_FACETS)
+    sc = build_scalar_complex(poset, field)
+    for a in product(range(2), repeat=len(poset.atoms)):
+        assert simplicial_oracle(poset, a, field) == cohomology_dims_at(sc, a), a
 
 
 def test_euler_characteristic_consistency():

@@ -4,7 +4,27 @@ import pytest
 
 from facering import PosetError, SimplicialPoset, bundled_poset, validate_simplicial
 
-from helpers import ALL_BUNDLED, RP2_FACETS, face_poset
+from helpers import (
+    ALL_BUNDLED,
+    RP2_FACETS,
+    TORUS7_FACETS,
+    face_poset,
+    glued_pair,
+    no_meet_poset,
+    reference_is_complex,
+)
+
+
+def _poset(name):
+    """A bundled poset by name, or one of the test posets built here."""
+    built = {
+        "rp2": lambda: face_poset(RP2_FACETS),
+        "torus7": lambda: face_poset(TORUS7_FACETS),
+        "glued_pair": lambda: glued_pair("1234"),
+        "no_meet": no_meet_poset,
+        "point": lambda: SimplicialPoset(["pt"], []),
+    }
+    return built[name]() if name in built else bundled_poset(name)
 
 
 def test_parse_p1(p1):
@@ -214,3 +234,53 @@ def test_meet_matches_join_set_definition(name):
             lower = [z for z in p.elements if p.leq(z, a) and p.leq(z, b)]
             expected = max(lower, key=p.rank_of) if p.join_set((a, b)) else None
             assert p.meet(a, b) == expected, (name, a, b)
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED + ("rp2", "glued_pair"))
+def test_join_table_is_join_set_and_meet(name):
+    # one entry per incomparable pair of proper elements, in pair order,
+    # holding the meet position (None at the bottom or without joins) and
+    # the join positions
+    p = _poset(name)
+    proper = p.proper_elements
+    pos = {x: k for k, x in enumerate(proper)}
+    want = {}
+    for (k1, x), (k2, y) in combinations(enumerate(proper), 2):
+        if p.leq(x, y) or p.leq(y, x):
+            continue
+        joins = tuple(pos[z] for z in p.join_set((x, y)))
+        meet = p.meet(x, y) if joins else p.bottom
+        want[(k1, k2)] = (None if meet == p.bottom else pos[meet], joins)
+    table = p.join_table()
+    assert list(table.items()) == list(want.items())
+    assert p.join_table() is table
+
+
+@pytest.mark.parametrize(
+    "name", ALL_BUNDLED + ("rp2", "torus7", "glued_pair", "no_meet", "point")
+)
+def test_face_poset_test_matches_its_definition(name):
+    p = _poset(name)
+    assert p.is_face_poset_of_complex() == reference_is_complex(p)
+
+
+def test_face_poset_test_returns_where_a_meet_raises():
+    # the join table needs meet(c, d), which does not exist; the test
+    # still answers, and False, since a and b have two joins
+    p = no_meet_poset()
+    with pytest.raises(PosetError, match="no largest common lower bound"):
+        p.meet("c", "d")
+    with pytest.raises(PosetError, match="no largest common lower bound"):
+        p.join_table()
+    assert p.is_face_poset_of_complex() is False
+    assert p.join_set(("a", "b")) == ("c", "d")
+
+
+def test_join_set_minimality():
+    # the minimal common upper bounds only, not every common upper bound
+    p = glued_pair("123")
+    assert p.join_set(("1", "2")) == ("12",)
+    assert p.join_set(("1", "23")) == ("A", "B")
+    assert p.join_set(("12", "13")) == ("A", "B")
+    assert p.join_set(("A", "B")) == ()
+    assert p.join_set(("1", "12", "13")) == ("A", "B")

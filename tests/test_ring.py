@@ -4,10 +4,18 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from facering import Envelope, PolyRing, bundled_poset
+from facering import Envelope, PolyRing, SimplicialPoset, bundled_poset
 from facering.scalars import QQ, PrimeField
 
-from helpers import ALL_BUNDLED, RP2_FACETS, face_poset, make_ring, random_polynomial
+from helpers import (
+    ALL_BUNDLED,
+    RP2_FACETS,
+    face_poset,
+    glued_pair,
+    make_ring,
+    random_polynomial,
+    reference_generators,
+)
 
 
 # ---------- grading ----------
@@ -125,6 +133,36 @@ def test_generators_disjoint_atoms():
     p = SimplicialPoset(["0", "a", "b"], [["a", "0"], ["b", "0"]])
     ring = PolyRing(p, QQ)
     assert set(ring.generators()) == {ring.parse("t[a]*t[b]")}
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED + ("rp2", "glued_pair"))
+def test_generators_match_the_pairwise_loop(name):
+    # same relations in the same order as one pass over the pairs
+    poset = {
+        "rp2": lambda: face_poset(RP2_FACETS),
+        "glued_pair": lambda: glued_pair("1234"),
+    }.get(name, lambda: bundled_poset(name))()
+    for field in (QQ, PrimeField(2), PrimeField(3)):
+        ring = PolyRing(poset, field)
+        assert [g.terms for g in ring.generators()] == reference_generators(ring)
+
+
+def test_rings_on_one_poset_share_the_join_table(monkeypatch):
+    calls = []
+    join_set = SimplicialPoset.join_set
+
+    def counting(self, xs):
+        calls.append(tuple(xs))
+        return join_set(self, xs)
+
+    monkeypatch.setattr(SimplicialPoset, "join_set", counting)
+    poset = bundled_poset("tetrahedron_boundary")
+    first = PolyRing(poset, QQ)
+    assert len(calls) == len(first._rewrite) > 0
+    calls.clear()
+    second = PolyRing(poset, PrimeField(2))
+    assert calls == []
+    assert first._rewrite is second._rewrite is poset.join_table()
 
 
 def test_generators_homogeneous():
@@ -389,3 +427,22 @@ def test_polynomials_hash_by_value(ring_p1):
     assert f == g and f is not g
     assert len({f, g, f + ring_p1.zero()}) == 1
     assert type(f + g) is type(-f) is type(f.scale(QQ.from_int(2))) is type(f)
+
+
+# ---------- operands that are not polynomials of the ring ----------
+
+def test_straighten_refuses_an_envelope_element(ring_p1):
+    with pytest.raises(ValueError, match="not a polynomial of this ring"):
+        ring_p1.straighten(Envelope.of(ring_p1, "x").unit())
+
+
+def test_embed_base_refuses_an_envelope_element(ring_p1):
+    env = Envelope.of(ring_p1, "x")
+    with pytest.raises(ValueError, match="not a polynomial of this ring"):
+        env.embed_base(env.unit())
+
+
+def test_act_polynomial_refuses_an_envelope_element(ring_p1):
+    env = Envelope.of(ring_p1, "x")
+    with pytest.raises(ValueError, match="not a polynomial of this ring"):
+        env.act_polynomial(env.unit(), env.unit())

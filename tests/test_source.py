@@ -107,3 +107,26 @@ def test_box_and_its_size_take_the_same_parameters():
         (p.name, p.default) for p in size.values()
     ]
     assert list(box) == ["self", "laurent_bound", "depth_bound", "w"]
+
+
+def test_oracle_references_nothing_from_linalg():
+    # the simplicial oracle is an independent check of the slice ranks, so
+    # its code may not name what complexes imports from linalg
+    path = Path(facering.__file__).parent / "complexes.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    from_linalg = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        and node.module == "linalg"
+        for alias in node.names
+    }
+    assert from_linalg, "complexes no longer imports from .linalg"
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    for name in ("simplicial_oracle", "_oracle_rank"):
+        used = {
+            node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)
+        }
+        assert used.isdisjoint(from_linalg | {"linalg"}), name
