@@ -24,7 +24,6 @@ from .cleanmap import (
     check_roundtrip,
     compose_maps,
     cover_map,
-    identity_map,
     materialize_tau,
     neumann_inverse,
     nonclean_automorphism,
@@ -82,7 +81,6 @@ __all__ = [
     "cover_map",
     "differential_matrix",
     "field_from_name",
-    "identity_map",
     "materialize_tau",
     "neumann_inverse",
     "nonclean_automorphism",

@@ -232,10 +232,6 @@ def chain_map(ring, chain):
     return CleanMap(ring, chain)
 
 
-def identity_map(ring, x):
-    return CleanMap(ring, (x,))
-
-
 class GradedEndomap:
     """Evaluable degree-zero self-map of one envelope."""
 

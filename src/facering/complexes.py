@@ -1,10 +1,10 @@
 """Rank-indexed signed complexes over a simplicial poset.
 
-Two parallel constructions share one sign function on covers: the envelope
-complex, whose terms collect the envelopes of all elements of a given rank
-and whose differentials are incidence-signed normalized cover maps, and the
+Two complexes share one build of rank-indexed terms and cover signs: the
 scalar complex, whose terms collect the embedded polynomial quotients and
-whose degree slices are finite matrices.  The envelope complex is verified
+whose degree slices are finite matrices, and the envelope complex, which
+takes those terms and signs and puts an envelope on each element and a
+normalized cover map on each cover.  The envelope complex is verified
 (composites of consecutive differentials vanish on finite boxes) rather than
 resolved: its graded pieces can be infinite-dimensional, so no cohomology is
 attempted there.  Degreewise cohomology is computed on the scalar complex
@@ -32,22 +32,13 @@ class EnvelopeComplex:
     terms: dict
     maps: dict
 
-    def covers(self):
-        return tuple(self.maps.keys())
-
 
 def build_gamma(ring) -> EnvelopeComplex:
-    """Assemble the envelope complex: rank-i term lists the elements of rank
-    i, and each cover carries its incidence sign and normalized map."""
-    poset = ring.poset
-    terms = {
-        i: tuple(x for x in poset.elements if poset.rank_of(x) == i)
-        for i in range(poset.max_rank + 1)
-    }
-    maps = {}
-    for u, l in poset.covers:
-        maps[(u, l)] = (poset.incidence_sign(u, l), cover_map(ring, u, l))
-    return EnvelopeComplex(ring, terms, maps)
+    """Assemble the envelope complex on the scalar complex's terms and signs:
+    each cover carries its incidence sign and normalized map."""
+    sc = build_scalar_complex(ring.poset, ring.field)
+    maps = {c: (s, cover_map(ring, *c)) for c, s in sc.signs.items()}
+    return EnvelopeComplex(ring, sc.terms, maps)
 
 
 def _diamonds_below(env):
@@ -173,8 +164,9 @@ def _witness(env, bad):
 
 @dataclass
 class ScalarComplex:
-    """Rank-indexed quotient terms with the same sign data as the envelope
-    complex; its degree slices are finite exact matrices."""
+    """Rank-indexed quotient terms and the incidence sign of each cover, the
+    ones the envelope complex is built on; its degree slices are finite
+    exact matrices."""
 
     poset: object
     field: object

@@ -417,9 +417,6 @@ class Envelope:
                 return mon
         return None
 
-    def in_L(self, elem):
-        return self.L_defect(elem) is None
-
     def in_base(self, elem):
         """Whether the element lies in the embedded polynomial quotient
         (depth zero, no negative Laurent exponents)."""

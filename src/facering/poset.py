@@ -140,9 +140,6 @@ class SimplicialPoset:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json_text(fh.read())
 
-    def to_json_obj(self):
-        return {"elements": list(self.names), "covers": [list(c) for c in self.covers]}
-
     # ---------- basic queries ----------
 
     def __contains__(self, name):
@@ -321,12 +318,13 @@ class SimplicialPoset:
 
 
 def validate_simplicial(poset: SimplicialPoset) -> ValidationReport:
-    """Check the defining axioms; each failure carries a witness."""
-    violations = []
+    """Check the defining axioms; each failure carries a witness.
 
-    for x in poset.elements:
-        if not poset.leq(poset.bottom, x):
-            violations.append(("unique minimum", (poset.bottom, x)))
+    The least element needs no check here: the constructor rejects cycles
+    and requires exactly one minimal element, and in a finite acyclic order
+    every downward walk from x ends at a minimal element, so bottom <= x.
+    """
+    violations = []
 
     # all maximal chains in a lower interval share the rank as their length
     for u, l in poset.covers:

@@ -46,10 +46,6 @@ class Polynomial(Combination):
                 add_term(out, tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
         return Polynomial(self.ring, out)
 
-    def is_homogeneous(self):
-        degs = {self.ring.monomial_degree(m) for m in self.terms}
-        return len(degs) <= 1
-
     def multidegree(self):
         """Common degree of all terms; None for the zero polynomial."""
         if not self.terms:
@@ -130,13 +126,6 @@ class PolyRing:
         if not coeff:
             return self.zero()
         return Polynomial(self, {tuple(vec): coeff})
-
-    def from_int_terms(self, terms):
-        """Polynomial from (int coefficient, name->exp dict) pairs."""
-        out = self.zero()
-        for n, exps in terms:
-            out = out + self.term(self.field.from_int(n), exps)
-        return out
 
     # ---------- grading ----------
 
@@ -442,19 +431,14 @@ class PolyRing:
         for mon in sorted(f.terms, reverse=True):
             c = f.terms[mon]
             body = self._format_monomial(mon)
-            if self.field.char == 0:
-                neg = c < 0
-                mag = -c if neg else c
-                coeff = self.field.format(mag)
-                lead = (coeff + "*" + body) if (body and coeff != "1") else (body or coeff)
-                if not parts:
-                    parts.append(("-" if neg else "") + lead)
-                else:
-                    parts.append(("- " if neg else "+ ") + lead)
+            # residues carry no sign: over F_p every term is added
+            neg = not self.field.char and c < 0
+            coeff = self.field.format(-c if neg else c)
+            lead = (coeff + "*" + body) if (body and coeff != "1") else (body or coeff)
+            if not parts:
+                parts.append(("-" if neg else "") + lead)
             else:
-                coeff = self.field.format(c)
-                lead = (coeff + "*" + body) if (body and coeff != "1") else (body or coeff)
-                parts.append(lead if not parts else "+ " + lead)
+                parts.append(("- " if neg else "+ ") + lead)
         return " ".join(parts)
 
     def poly_to_json(self, f):

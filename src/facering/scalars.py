@@ -6,7 +6,6 @@ no floating point anywhere, so all downstream linear algebra is exact.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
@@ -28,9 +27,6 @@ class Rationals:
     def ratio(self, n: int, d: int) -> Fraction:
         """n/d for ints n and d != 0, built as one scalar."""
         return Fraction(n, d)
-
-    def binomial(self, n: int, k: int) -> Fraction:
-        return Fraction(math.comb(n, k))
 
     def parse(self, text: str) -> Fraction:
         try:
@@ -139,9 +135,6 @@ class PrimeField:
     def ratio(self, n: int, d: int) -> FpElement:
         """n/d for ints n and d not divisible by p, built as one scalar."""
         return FpElement(n * pow(d, -1, self.p), self.p)
-
-    def binomial(self, n: int, k: int) -> FpElement:
-        return FpElement(math.comb(n, k), self.p)
 
     def parse(self, text: str) -> FpElement:
         try:

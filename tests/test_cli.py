@@ -39,6 +39,19 @@ def test_validate_failure(tmp_path, capsys):
     assert "violation" in out and "boolean lower interval" in out
 
 
+def test_validate_two_minima_is_missing_bottom(tmp_path, capsys):
+    # the constructor owns the bottom check, so validate never starts
+    path = tmp_path / "two_minima.json"
+    path.write_text(
+        '{"elements": ["0", "1", "a"], "covers": [["a", "0"], ["a", "1"]]}',
+        encoding="utf-8",
+    )
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "missing bottom" in captured.err
+
+
 def test_validate_missing_file(capsys):
     assert main(["validate", "/nonexistent/poset.json"]) == 2
     assert "error" in capsys.readouterr().err
@@ -104,6 +117,20 @@ def test_envelope_annihilator(capsys):
 def test_envelope_bad_degree(capsys):
     assert main(["envelope", "--poset", "p1", "--deg", "1"]) == 2
     assert main(["envelope", "--poset", "p1", "--deg", "a,b"]) == 2
+    assert main(["envelope", "--poset", "p1", "--deg", "1,-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be non-negative" in captured.err
+
+
+def test_ring_coefficients_over_prime_field(capsys):
+    argv = ["ring", "--poset", "p1", "--field", "F3", "--straighten"]
+    assert main([*argv, "4*t[y1]*t[y2]"]) == 0
+    assert "straighten 4*t[y1]*t[y2]: t[x] + t[z]\n" in capsys.readouterr().out
+    assert main([*argv, "1/2*t[x]"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad F3 literal '1/2'" in captured.err
 
 
 def test_envelope_unknown_x_prints_nothing(capsys):
@@ -279,6 +306,19 @@ def test_roundtrip_element_checked_before_output(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "of rank at least 2" in captured.err
+
+
+def test_roundtrip_without_rank_two_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "two_points.json"
+    path.write_text(
+        '{"elements": ["0", "a", "b"], "covers": [["a", "0"], ["b", "0"]]}',
+        encoding="utf-8",
+    )
+    argv = ["cleanmap", "--poset", str(path), "--tau-roundtrip"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no element of rank at least 2" in captured.err
 
 
 @pytest.mark.parametrize("x", ("nope", "x"))

@@ -44,7 +44,7 @@ ORACLE_FIELDS = (
 def test_gamma_terms_p1(ring_p1):
     gc = build_gamma(ring_p1)
     assert gc.terms == {0: ("0",), 1: ("y1", "y2"), 2: ("x", "z")}
-    assert set(gc.covers()) == set(ring_p1.poset.covers)
+    assert set(gc.maps) == set(ring_p1.poset.covers)
 
 
 def test_gamma_terms_point():
@@ -331,6 +331,13 @@ def test_slice_support_condition(ring_p1):
 def test_negative_degree_slices_vanish(ring_p1):
     sc = build_scalar_complex(ring_p1.poset, ring_p1.field)
     assert cohomology_dims_at(sc, (-1, 0)) == {0: 0, -1: 0, -2: 0}
+
+
+@pytest.mark.parametrize("a", [(1,), (1, 0, 0)])
+def test_degree_vector_of_wrong_length_is_rejected(ring_p1, a):
+    sc = build_scalar_complex(ring_p1.poset, ring_p1.field)
+    with pytest.raises(ValueError, match="wrong length"):
+        cohomology_dims_at(sc, a)
 
 
 def test_point_complex():

@@ -86,6 +86,12 @@ def test_act_variable_displays(env_x, ring_p1):
             )
 
 
+@pytest.mark.parametrize("a", [(1,), (1, 0, 0)])
+def test_monomials_of_degree_rejects_wrong_length(env_x, a):
+    with pytest.raises(ValueError, match="wrong length"):
+        env_x.monomials_of_degree(a, 2)
+
+
 def test_act_variable_errors(env_x):
     with pytest.raises(ValueError):
         env_x.act_variable("0", env_x.unit())
@@ -372,10 +378,10 @@ def test_essential_witness_random(rng):
 
 def test_in_L(env_x):
     inside = env_x.monomial({"y1": 1, "y2": 1}, {"x": 1})
-    assert env_x.in_L(inside)
-    assert not env_x.in_L(env_x.unit())
+    assert env_x.L_defect(inside) is None
+    assert env_x.L_defect(env_x.unit()) is not None
     negative_degree = env_x.monomial({"y1": -1}, {"x": 1})
-    assert not env_x.in_L(negative_degree)
+    assert env_x.L_defect(negative_degree) is not None
     assert env_x.L_defect(inside + env_x.unit()) == env_x.unit_mon
 
 

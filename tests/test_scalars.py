@@ -15,7 +15,6 @@ from facering.scalars import (
 def test_rationals():
     assert QQ.parse("3/2") == Fraction(3, 2)
     assert QQ.format(Fraction(-1, 3)) == "-1/3"
-    assert QQ.binomial(4, 2) == 6
     assert QQ.char == 0
 
 
@@ -30,12 +29,6 @@ def test_prime_field_arithmetic():
     assert bool(F5.zero) is False and bool(F5.one) is True
     with pytest.raises(ZeroDivisionError):
         a / F5.zero
-
-
-def test_binomial_reduction_mod_p():
-    F2 = PrimeField(2)
-    assert not F2.binomial(2, 1)
-    assert F2.binomial(3, 1) == F2.one
 
 
 def test_field_from_name():

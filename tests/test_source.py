@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import facering
@@ -97,6 +98,63 @@ def test_benchmark_names_exist():
         if obj is None:
             missing.append(name)
     assert missing == []
+
+
+# public names with no caller in src/ or perfbench/ that stay because each
+# is one of the paper's objects, with the reason
+PAPER_OBJECTS = {
+    "rank1_map": "the map from a rank-1 envelope to the bottom envelope",
+    "differential_matrix": "a degree slice of the scalar complex as a matrix",
+    "embed_base": "the embedding of the face quotient into its envelope",
+    "multidegree": "the atom degree of a homogeneous polynomial",
+    "face_projection": "the quotient of the face ring onto the face at x",
+    "f_U": "the ideal member f_U over a join set",
+    "g_pair": "the quadratic ideal member g of two join-set elements",
+    "is_chain_monomial": "the basis test of the straightening normal form",
+}
+
+
+def _name_counts(tree):
+    """How often each name is read or imported in a tree."""
+    counts = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            counts[node.name] += 1
+    return counts
+
+
+def test_every_public_name_has_a_caller():
+    # a public function, class or method of the package is called by name in
+    # the package (outside its own definition) or the benchmark, or is a
+    # paper object; a paper object that gains a caller, or loses its
+    # definition, leaves PAPER_OBJECTS
+    src = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(Path(facering.__file__).parent.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    used = Counter()
+    for tree in src.values():
+        used += _name_counts(tree)
+    for path in sorted(PERFBENCH.glob("*.py")):
+        used += _name_counts(ast.parse(path.read_text(encoding="utf-8")))
+    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    uncalled = []
+    for fname, tree in src.items():
+        scopes = [(node, "") for node in tree.body]
+        for node, prefix in scopes:
+            if not isinstance(node, defs) or node.name.startswith("_"):
+                continue
+            if isinstance(node, ast.ClassDef):
+                scopes += [(child, node.name + ".") for child in node.body]
+            if used[node.name] == _name_counts(node)[node.name]:
+                uncalled.append((node.name, f"{fname}:{prefix}{node.name}"))
+    assert [where for name, where in uncalled if name not in PAPER_OBJECTS] == []
+    assert set(PAPER_OBJECTS) <= {name for name, _ in uncalled}
 
 
 def test_box_and_its_size_take_the_same_parameters():
