@@ -21,14 +21,16 @@ pure, so parallel evaluation over degrees or elements is safe.
 
 from __future__ import annotations
 
-from itertools import product
-from operator import add
+from itertools import combinations, product
+from operator import add, sub
 
 from .linalg import kernel_basis
 from .scalars import Combination, add_term
 
 
 def _check_bound(value, what):
+    if not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
     if value < 0:
         raise ValueError(f"{what} must be non-negative, got {value}")
 
@@ -37,22 +39,10 @@ def bounded_vectors(weights, budget):
     """Every non-negative integer vector v with sum(v[i] * weights[i]) at
     most budget, in lexicographic order.  Weights are positive integers."""
     _check_bound(budget, "bound")
-    n = len(weights)
-    out = []
-    vec = [0] * n
-
-    def rec(j, rem):
-        if j == n:
-            out.append(tuple(vec))
-            return
-        w = weights[j]
-        for e in range(rem // w + 1):
-            vec[j] = e
-            rec(j + 1, rem - e * w)
-        vec[j] = 0
-
-    rec(0, budget)
-    return out
+    vecs = [((), budget)]
+    for w in weights:
+        vecs = [(v + (e,), r - e * w) for v, r in vecs for e in range(r // w + 1)]
+    return [v for v, _ in vecs]
 
 
 def count_bounded_vectors(weights, budget):
@@ -115,16 +105,14 @@ class Envelope:
         self._ideg = tuple(ring.variable_degree(z) for z in self.inv_vars)
         self._iweight = tuple(sum(d) for d in self._ideg)
         self._ileq = tuple(poset.leq(z, x) for z in self.inv_vars)
-        bumps = []
-        for z, under in zip(self.inv_vars, self._ileq):
-            if under:
-                zat = poset.atom_set(z)
-                bumps.append(tuple(1 if a in zat else 0 for a in self.atoms))
-            else:
-                bumps.append(None)
-        self._ibump = tuple(bumps)
+        self._ibump = tuple(
+            tuple(int(a in poset.atom_set(z)) for a in self.atoms) if under else None
+            for z, under in zip(self.inv_vars, self._ileq)
+        )
         self.unit_mon = ((0,) * self.natoms, (0,) * self.ninv)
         self._invcache = {}
+        self._slices = {}
+        self._table = None
 
     @classmethod
     def of(cls, ring, x):
@@ -332,11 +320,16 @@ class Envelope:
         """
         if any(a[g] > 0 for g in self._free):
             return None
-        return tuple(
-            j
-            for j, d in enumerate(self._ideg)
-            if all(a[g] < 0 for g in self._free if d[g])
-        )
+        free = self._free
+        return tuple(j for j, d in enumerate(self._ideg) if all(a[g] < 0 for g in free if d[g]))
+
+    def _degree_arg(self, a):
+        a = tuple(a)
+        if len(a) != self.ring.natoms:
+            raise ValueError("degree vector has the wrong length")
+        if not all(isinstance(v, int) for v in a):
+            raise ValueError(f"degree entries must be integers, got {a!r}")
+        return a
 
     def monomials_of_degree(self, a, depth_max, depth_min=0):
         """All basis monomials of degree a with depth in [depth_min,
@@ -348,23 +341,27 @@ class Envelope:
         forced: a minus the inverse part's degree, on the atoms below x.
         Conversely each such inverse vector with that Laurent part has
         degree a.  So the slice is the cached inverse vectors on those
-        positions, kept by depth and by their degree at the atoms not below
-        x.  Empty whenever a has a positive entry at an atom not below x.
+        positions that have degree a at the atoms not below x, cached per
+        (depth_max, that degree) with their depths and Laurent offsets.
+        Empty whenever a has a positive entry at an atom not below x.
         """
         _check_bound(depth_max, "depth bound")
-        a = tuple(a)
-        if len(a) != self.ring.natoms:
-            raise ValueError("degree vector has the wrong length")
-        positions = self._slice_positions(a)
-        if positions is None:
-            return []
-        zero = (0,) * self.natoms
-        out = []
-        for inv in self._inverse_vectors(depth_max, positions):
-            if self.depth((zero, inv)) >= depth_min:
-                d = self.degree((zero, inv))
-                if all(d[g] == a[g] for g in self._free):
-                    out.append((tuple(a[g] - d[g] for g in self._acoord), inv))
+        a = self._degree_arg(a)
+        afree = tuple(a[g] for g in self._free)
+        part = self._slices.get((depth_max, afree))
+        if part is None:
+            positions = self._slice_positions(a)
+            if positions is None:
+                return []
+            part = []
+            for inv in self._inverse_vectors(depth_max, positions):
+                d = self.degree((self.unit_mon[0], inv))
+                if tuple(d[g] for g in self._free) == afree:
+                    dx = tuple(d[g] for g in self._acoord)
+                    part.append((dx, inv, self.depth((self.unit_mon[0], inv))))
+            part = self._slices[(depth_max, afree)] = tuple(part)
+        ax = tuple(a[g] for g in self._acoord)
+        out = [(tuple(map(sub, ax, dx)), inv) for dx, inv, depth in part if depth >= depth_min]
         out.sort()
         return out
 
@@ -430,24 +427,17 @@ class Envelope:
         """Basis of the degree-a elements of bounded depth killed by every
         defining relation, by exact linear algebra on the finite slice.
 
-        Truncation is exact because the action never raises depth.  The
-        rows are built on the monomial tuples: each term of each relation
-        (``PolyRing.relation_terms``) walks every slice monomial through
-        ``_step``, one variable at a time, and the integer number of paths
-        into each target monomial, times the term's sign, is summed per
-        (relation, target) row.  The rows stay integers: ``kernel_basis``
-        reduces them into the field before it eliminates.
-
-        A term that contracts a variable not below x more times than the
-        monomial's inverse exponent there is skipped.  That is exact: such
-        a variable has no face projection at x, so its action on a monomial
-        is the contraction alone, and contracting e times kills every
-        monomial whose exponent there is below e.  Nothing is approximated.
-        The kernel is read off the reduced echelon form, which depends only
-        on the row space and the column order, so neither the skip nor the
-        order of the rows changes the returned basis.
+        Truncation is exact because the action never raises depth.  Each row
+        is one (relation, target monomial); its entry at a slice monomial is
+        the signed integer count of the relation's translations
+        (``_relation_table``) that apply there and land on the target.  A
+        translation applies to a monomial exactly when its inverse exponent
+        at each position is at least the number of times the translation
+        contracts there (proof in ``_relation_table``).  ``kernel_basis``
+        reduces the integer rows into the field, and reads the kernel off the
+        reduced echelon form, which the order of the rows does not change.
         """
-        a = tuple(a)
+        a = self._degree_arg(a)
         if any(v < 0 for v in a):
             raise ValueError("degree must be componentwise non-negative")
         mons, rows = self._annihilator_rows(a, depth_bound)
@@ -459,51 +449,64 @@ class Envelope:
             for vec in basis
         ]
 
+    def _relation_table(self):
+        """(table, t): each defining relation's action on this envelope as
+        exponent translations, built on first use, and t the longest relation
+        term's length.  The table maps the positions a translation contracts,
+        ascending with repeats, to a flat tuple of (Laurent translation,
+        relation index, count) triples, each Laurent translation held once.
+
+        ``_step`` moves a monomial by a fixed vector: a Laurent unit vector,
+        a face bump, or minus an inverse unit vector (a contraction), the
+        last only where that inverse exponent is positive.  So a path of a
+        relation term (``PolyRing.relation_terms``) through ``_step`` is one
+        fixed translation wherever it exists, and it exists exactly where
+        the monomial's inverse exponent at each position is at least the
+        number of contractions there: only a contraction changes the inverse
+        part, lowering it by one.  A ``_step`` walk from a base with every
+        inverse exponent t blocks no contraction, so its ends minus the base
+        are all the translations.  Paths of one relation with one
+        translation exist at the same monomials and reach the same target,
+        so their signed counts merge, and a zero sum is dropped.
+        """
+        if self._table is None:
+            terms = self.ring.relation_terms()
+            top = max((len(ks) for _, ks, _ in terms), default=0)
+            ends = {}
+            for gi, ks, c in terms:
+                walk = [(self.unit_mon[0], (top,) * self.ninv)]
+                for k in ks:
+                    walk = [t for m in walk for t in self._step(self.ring.variables[k], m)]
+                for dl, inv in walk:
+                    need = tuple(j for j, e in enumerate(inv) for _ in range(top - e))
+                    add_term(ends, (need, dl, gi), c)
+            table, shared = {}, {}
+            for (need, dl, gi), n in ends.items():
+                table.setdefault(need, []).extend((shared.setdefault(dl, dl), gi, n))
+            self._table = ({need: tuple(flat) for need, flat in table.items()}, top)
+        return self._table
+
     def _annihilator_rows(self, a, depth_bound):
         """The degree-a slice monomials of depth at most depth_bound, and the
         integer rows whose kernel ``annihilator_basis`` returns, one per
-        (relation, target) with a nonzero path count."""
+        (relation, target) with a nonzero count.  A monomial looks up only
+        the sub-multisets of its inverse exponents as contracted positions,
+        and sets each row entry once: one relation's translations differ."""
         mons = self.monomials_of_degree(a, depth_max=depth_bound)
-        if not mons:
-            return mons, []
-        names = self.ring.variables
-        # ring index -> inverse position of each variable that only contracts
-        dead = {}
-        for k, z in enumerate(names):
-            j = self._ipos.get(z)
-            if j is not None and not self._ileq[j]:
-                dead[k] = j
-        # those at zero on the whole slice drop every term they are in
-        top = [max(e) for e in zip(*(inv for _, inv in mons))]
-        broke = {k for k, j in dead.items() if not top[j]}
-        terms = []
-        for gi, ks, c in self.ring.relation_terms():
-            if broke.isdisjoint(ks):
-                # (inverse position, times contracted) of its dead variables
-                need = {}
-                for k in ks:
-                    if k in dead:
-                        need[dead[k]] = need.get(dead[k], 0) + 1
-                zs = [names[k] for k in ks]
-                terms.append((gi, zs[0], zs[1:], c, tuple(need.items())))
-        step = self._step
+        table, top = self._relation_table()
         rows = {}
-        for col, mon in enumerate(mons):
-            inv = mon[1]
-            counts = {}
-            for gi, first, rest, c, need in terms:
-                for j, e in need:
-                    if inv[j] < e:
-                        break
-                else:
-                    ends = step(first, mon)
-                    for z in rest:
-                        ends = [t for m in ends for t in step(z, m)]
-                    for t in ends:
-                        key = (gi, t)
-                        counts[key] = counts.get(key, 0) + c
-            for key, n in counts.items():
-                if n:
+        for col, (lau, inv) in enumerate(mons):
+            held = [j for j, e in enumerate(inv) for _ in range(min(e, top))]
+            for need in dict.fromkeys(c for r in range(top + 1) for c in combinations(held, r)):
+                if need not in table:
+                    continue
+                tinv = list(inv)
+                for j in need:
+                    tinv[j] -= 1
+                tinv = tuple(tinv)
+                it = iter(table[need])
+                for dl, gi, n in zip(it, it, it):
+                    key = (gi, (tuple(map(add, lau, dl)), tinv))
                     row = rows.get(key)
                     if row is None:
                         row = rows[key] = [0] * len(mons)
@@ -525,12 +528,9 @@ class Envelope:
         f = ring.one()
         cur = elem
         while cur.max_depth() > 0:
-            best = None
-            for (_, inv) in cur.terms:
-                for j, e in enumerate(inv):
-                    if e and (best is None or e > best[0] or (e == best[0] and j < best[1])):
-                        best = (e, j)
-            z = self.inv_vars[best[1]]
+            # the largest inverse exponent, at its first position
+            _, j = max((e, -j) for _, inv in cur.terms for j, e in enumerate(inv) if e)
+            z = self.inv_vars[-j]
             f = ring.tilde_of(self.x, z) * f
             cur = self.act_tilde(z, cur)
         if self.natoms:

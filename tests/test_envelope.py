@@ -3,6 +3,7 @@ import random
 import weakref
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from facering import Envelope, EnvelopeElement, bundled_poset, PolyRing, envelop
 from facering.cleanmap import check_clean, check_linearity, cover_map
 from facering.complexes import build_gamma, verify_dd_zero
 from facering.envelope import bounded_vectors, count_bounded_vectors
-from facering.scalars import QQ, PrimeField
+from facering.scalars import QQ, PrimeField, add_term
 
 from helpers import (
     ALL_BUNDLED,
@@ -314,7 +315,7 @@ def test_annihilator_matches_reference(field):
 
 def test_annihilator_skip_keeps_part_of_a_relation(ring_p1):
     """At x in p1, z is not below x.  On the slice monomials with no z in
-    their inverse part the skip rule drops the t[z] term of
+    their inverse part the feasibility rule drops the t[z] term of
     t[y1]*t[y2] - t[x] - t[z] and keeps the other two; t[z] kills those
     monomials, so the basis is unchanged."""
     env = Envelope.of(ring_p1, "x")
@@ -323,6 +324,9 @@ def test_annihilator_skip_keeps_part_of_a_relation(ring_p1):
     assert not ring_p1.poset.leq("z", "x")
     (gi,) = {gi for gi, ks, _ in ring_p1.relation_terms() if ks == (kz,)}
     assert len([ks for g, ks, _ in ring_p1.relation_terms() if g == gi]) == 3
+    # the t[z] term's one translation contracts z once
+    table, _ = env._relation_table()
+    assert gi in table[(jz,)][1::3]
     mons = env.monomials_of_degree((1, 1), depth_max=3)
     skipped = [m for m in mons if m[1][jz] == 0]
     assert skipped and len(skipped) < len(mons)
@@ -333,6 +337,101 @@ def test_annihilator_skip_keeps_part_of_a_relation(ring_p1):
         basis = e.annihilator_basis((1, 1), 3)
         assert len(basis) == 1
         assert basis == reference_annihilator_basis(e, (1, 1), 3)
+
+
+def _table_image(env, mon):
+    """{(relation index, target): count} of mon under the relation table,
+    each translation kept where its target's inverse part is non-negative."""
+    table, _ = env._relation_table()
+    lau, inv = mon
+    out = {}
+    for need, flat in table.items():
+        tinv = list(inv)
+        for j in need:
+            tinv[j] -= 1
+        if min(tinv, default=0) >= 0:
+            it = iter(flat)
+            for dl, gi, n in zip(it, it, it):
+                add_term(out, (gi, (tuple(map(add, lau, dl)), tuple(tinv))), n)
+    return out
+
+
+def _walk_image(env, mon):
+    """The same image, walking each relation term through ``_step``."""
+    out = {}
+    for gi, ks, c in env.ring.relation_terms():
+        ends = [mon]
+        for k in ks:
+            ends = [t for m in ends for t in env._step(env.ring.variables[k], m)]
+        for t in ends:
+            add_term(out, (gi, t), c)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=repr)
+def test_relation_table_matches_step_walk(field):
+    """On every envelope of the bundled posets and RP^2 the table's counts
+    per (relation, target) equal a ``_step`` walk, at monomials with
+    inverse exponent 0 and 1 at each position and a shifted Laurent part."""
+    posets = [bundled_poset(name) for name in ALL_BUNDLED] + [face_poset(RP2_FACETS)]
+    for poset in posets:
+        ring = PolyRing(poset, field)
+        for x in poset.elements:
+            env = Envelope.of(ring, x)
+            shift = tuple(range(-1, env.natoms - 1))
+            mons = [env.unit_mon, (shift, (1,) * env.ninv)]
+            for j in range(env.ninv):
+                unit = tuple(int(i == j) for i in range(env.ninv))
+                mons += [(shift, unit), (shift, tuple(1 - e for e in unit))]
+            for mon in mons:
+                assert _table_image(env, mon) == _walk_image(env, mon), (x, mon)
+
+
+def test_relation_table_is_built_once_per_envelope(monkeypatch):
+    calls = []
+    relation_terms = PolyRing.relation_terms
+
+    def counting(ring):
+        calls.append(ring)
+        return relation_terms(ring)
+
+    monkeypatch.setattr(PolyRing, "relation_terms", counting)
+    ring = make_ring("tetrahedron_boundary")
+    for x in ring.poset.elements:
+        env = Envelope.of(ring, x)
+        calls.clear()
+        for a in product(range(2), repeat=ring.natoms):
+            for depth in range(4):
+                env.annihilator_basis(a, depth)
+        assert len(calls) == 1, x
+    # boxes, slices and cover maps build no table
+    ring = make_ring("solid_triangle")
+    cmap = cover_map(ring, "123", "12")
+    assert check_clean(cmap, 3).passed and check_linearity(cmap, 1, 2).passed
+    env = Envelope.of(ring, "123")
+    list(env.monomial_box(1, 2))
+    env.monomials_of_degree((1, 1, 0), 3)
+    assert env._table is None and cmap.target_env._table is None
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda env: env.annihilator_basis((1.0, 1), 2),
+        lambda env: env.annihilator_basis((1, 1), 2.5),
+        lambda env: env.monomials_of_degree((0.5, 0), 2),
+        lambda env: env.monomials_of_degree((Fraction(1), 1), 2),
+        lambda env: env.monomials_of_degree((1, 1), 2.5),
+        lambda env: env.monomial_box(2.5, 1),
+        lambda env: env.box_size(1, 2.5, "y1"),
+        lambda env: bounded_vectors((1, 2), 2.5),
+        lambda env: check_clean(cover_map(env.ring, "x", "y1"), 2.5),
+        lambda env: check_linearity(cover_map(env.ring, "x", "y1"), 1.5, 1),
+    ],
+)
+def test_non_integer_degrees_and_bounds_are_rejected(env_x, call):
+    with pytest.raises(ValueError, match="integer"):
+        call(env_x)
 
 
 def test_annihilator_builds_one_element_per_basis_vector(monkeypatch):
