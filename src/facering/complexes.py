@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cleanmap import CertReport, cover_map
-from .envelope import Envelope
+from .envelope import Envelope, degree_vector
 from .linalg import bareiss_rank
 from .scalars import QQ, add_term
 
@@ -215,9 +215,7 @@ def differential_matrix(sc: ScalarComplex, a, i):
 def cohomology_dims_at(sc: ScalarComplex, a):
     """Exact kernel-modulo-image dimensions of the degree-a slice, keyed by
     cohomological index (rank i contributes at index -i)."""
-    a = tuple(a)
-    if len(a) != len(sc.poset.atoms):
-        raise ValueError("degree vector has the wrong length")
+    a = degree_vector(a, len(sc.poset.atoms))
     d = sc.poset.max_rank
     if any(v < 0 for v in a):
         return {-i: 0 for i in range(d + 1)}
@@ -246,9 +244,7 @@ def simplicial_oracle(poset, a, field=QQ):
     if not poset.is_face_poset_of_complex():
         raise ValueError("poset is not the face poset of a simplicial complex")
     atoms = poset.atoms
-    a = tuple(a)
-    if len(a) != len(atoms):
-        raise ValueError("degree vector has the wrong length")
+    a = degree_vector(a, len(atoms))
     maxr = poset.max_rank
     dims = {-i: 0 for i in range(maxr + 1)}
     if any(v < 0 for v in a):

@@ -64,6 +64,18 @@ def _spread(n, positions, vectors):
         yield tuple(vec)
 
 
+def degree_vector(a, natoms):
+    """a as a tuple of natoms ints; ``ValueError`` on any other length or
+    on an entry that is not an int."""
+    a = tuple(a)
+    if len(a) != natoms:
+        raise ValueError("degree vector has the wrong length")
+    for v in a:
+        if not isinstance(v, int):
+            raise ValueError(f"degree entries must be integers, got {a!r}")
+    return a
+
+
 class EnvelopeElement(Combination):
     """Finite combination of basis monomials of one envelope; a
     ``Combination``, not hashable."""
@@ -323,14 +335,6 @@ class Envelope:
         free = self._free
         return tuple(j for j, d in enumerate(self._ideg) if all(a[g] < 0 for g in free if d[g]))
 
-    def _degree_arg(self, a):
-        a = tuple(a)
-        if len(a) != self.ring.natoms:
-            raise ValueError("degree vector has the wrong length")
-        if not all(isinstance(v, int) for v in a):
-            raise ValueError(f"degree entries must be integers, got {a!r}")
-        return a
-
     def monomials_of_degree(self, a, depth_max, depth_min=0):
         """All basis monomials of degree a with depth in [depth_min,
         depth_max], sorted.
@@ -346,7 +350,7 @@ class Envelope:
         Empty whenever a has a positive entry at an atom not below x.
         """
         _check_bound(depth_max, "depth bound")
-        a = self._degree_arg(a)
+        a = degree_vector(a, self.ring.natoms)
         afree = tuple(a[g] for g in self._free)
         part = self._slices.get((depth_max, afree))
         if part is None:
@@ -437,7 +441,7 @@ class Envelope:
         reduces the integer rows into the field, and reads the kernel off the
         reduced echelon form, which the order of the rows does not change.
         """
-        a = self._degree_arg(a)
+        a = degree_vector(a, self.ring.natoms)
         if any(v < 0 for v in a):
             raise ValueError("degree must be componentwise non-negative")
         mons, rows = self._annihilator_rows(a, depth_bound)

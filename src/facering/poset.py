@@ -84,24 +84,13 @@ class SimplicialPoset:
             raise PosetError(f"missing bottom (minimal elements: {names_})")
         self._bottom = minima[0]
 
-        below = [None] * n
+        below, above, rank = [None] * n, [None] * n, [0] * n
         for i in topo:
-            acc = {i}
-            for l in lower[i]:
-                acc |= below[l]
-            below[i] = frozenset(acc)
-        self._below = below
-        above = [set() for _ in range(n)]
-        for i in range(n):
-            for j in below[i]:
-                above[j].add(i)
-        self._above = [frozenset(s) for s in above]
-
-        rank = [0] * n
-        for i in topo:
-            if lower[i]:
-                rank[i] = 1 + max(rank[l] for l in lower[i])
-        self._rank = tuple(rank)
+            below[i] = frozenset({i}.union(*(below[l] for l in lower[i])))
+            rank[i] = 1 + max((rank[l] for l in lower[i]), default=-1)
+        for i in reversed(topo):
+            above[i] = frozenset({i}.union(*(above[u] for u in upper[i])))
+        self._below, self._above, self._rank = below, above, tuple(rank)
 
         self._lower = tuple(tuple(sorted(lower[i])) for i in range(n))
         self.covers = tuple(
@@ -190,40 +179,46 @@ class SimplicialPoset:
 
     # ---------- joins, meets, signs ----------
 
-    def join_set(self, xs):
-        """Minimal common upper bounds of a nonempty collection; may be empty.
+    def _minimal(self, common):
+        """Sorted minimal indices of an up-set of indices: those with no
+        lower cover in it, since for any v < u in it the first cover on a
+        path of covers from u down to v is at least v, so in it too."""
+        lower = self._lower
+        return sorted([u for u in common if common.isdisjoint(lower[u])])
 
-        The one owner of that rule: ``join_table`` reads its pairs here.  A
-        common upper bound u is minimal when it is the only common upper
-        bound below itself.
-        """
+    def _largest_lower(self, ia, ib):
+        """Index of the largest common lower bound, else ``PosetError``.  The
+        bounds form a down-set holding below[top] for its element top of
+        highest rank; top is largest exactly when the two have equal size."""
+        lbs = self._below[ia] & self._below[ib]
+        top = max(lbs, key=self._rank.__getitem__)
+        if len(self._below[top]) != len(lbs):
+            raise PosetError("no largest common lower bound; poset is not simplicial")
+        return top
+
+    def join_set(self, xs):
+        """Minimal common upper bounds of a nonempty collection; may be empty."""
         idxs = [self._idx[x] for x in xs]
         if not idxs:
             raise ValueError("join of an empty collection")
-        below = self._below
         common = frozenset.intersection(*(self._above[i] for i in idxs))
-        minimal = [u for u in common if len(below[u] & common) == 1]
-        return tuple(self.names[i] for i in sorted(minimal))
+        return tuple(self.names[i] for i in self._minimal(common))
 
     def meet(self, a, b):
         """Largest common lower bound, or None without a common upper bound."""
         ia, ib = self._idx[a], self._idx[b]
-        if not self._above[ia] & self._above[ib]:
+        if self._above[ia].isdisjoint(self._above[ib]):
             return None
-        lbs = self._below[ia] & self._below[ib]
-        top = max(lbs, key=lambda i: self._rank[i])
-        if any(l not in self._below[top] for l in lbs):
-            raise PosetError("no largest common lower bound; poset is not simplicial")
-        return self.names[top]
+        return self.names[self._largest_lower(ia, ib)]
 
     def removed_atom(self, u, l):
         """The unique atom under u that is not under l, for a cover u > l."""
         if not self.is_cover(u, l):
             raise ValueError(f"{u!r} does not cover {l!r}")
-        gone = set(self.atoms_below(u)) - set(self.atoms_below(l))
+        gone = self.atom_set(u) - self.atom_set(l)
         if len(gone) != 1:
             raise ValueError(f"cover ({u!r}, {l!r}) does not remove a unique atom")
-        return gone.pop()
+        return next(iter(gone))
 
     def incidence_sign(self, u, l):
         """Boundary sign of a cover: (-1)**(position of the removed atom
@@ -235,20 +230,19 @@ class SimplicialPoset:
     # ---------- structure enumeration ----------
 
     def rank2_intervals(self):
-        """All intervals [w, x] of rank difference two with their middles."""
+        """All intervals [w, x] of rank difference two with their middles,
+        by x, then w, in element order; a w may have none.  Ranks rise along
+        every cover, so a middle is a lower cover of x, and w one of it."""
+        rank, lower, names = self._rank, self._lower, self.names
         out = []
-        for x in self.names:
-            rx = self.rank_of(x)
-            for w in self.names:
-                if self.rank_of(w) == rx - 2 and self.leq(w, x):
-                    mids = tuple(
-                        z
-                        for z in self.names
-                        if self.rank_of(z) == rx - 1
-                        and self.leq(w, z)
-                        and self.leq(z, x)
-                    )
-                    out.append((w, x, mids))
+        for x, r in enumerate(rank):
+            mids = {w: [] for w in sorted(self._below[x]) if rank[w] == r - 2}
+            for z in lower[x]:
+                if rank[z] == r - 1:
+                    for w in lower[z]:
+                        if rank[w] == r - 2:
+                            mids[w].append(names[z])
+            out += [(names[w], names[x], tuple(m)) for w, m in mids.items()]
         return out
 
     def saturated_chains(self, top, bot):
@@ -270,27 +264,25 @@ class SimplicialPoset:
         k1 < k2 in ``proper_elements`` order and the pairs in that order.
 
         The meet position is None when the meet is the bottom or the join
-        set is empty.  Built from ``join_set`` and ``meet`` on the first call
-        and kept, so every ring on the poset shares this one dict; callers
-        must not change it.  Raises ``PosetError`` where ``meet`` does: on a
-        pair with common upper bounds but no largest common lower bound.
+        set is empty.  Built by the rules of ``join_set`` and ``meet`` on the
+        first call and kept, so every ring on the poset shares this one dict;
+        callers must not change it.  Raises ``PosetError`` where ``meet``
+        does: on a pair with common upper bounds but no largest common lower
+        bound.
         """
         if self._join_table is None:
-            proper = self.proper_elements
-            pos = {x: k for k, x in enumerate(proper)}
-            below = self._below
-            bottom = self.bottom
+            above, bottom, n = self._above, self._bottom, len(self.names)
+            # each element's position in proper_elements
+            pos = [i - (i > bottom) for i in range(n)]
             table = {}
-            for k1, x in enumerate(proper):
-                ix = self._idx[x]
-                for k2 in range(k1 + 1, len(proper)):
-                    y = proper[k2]
-                    iy = self._idx[y]
-                    if ix in below[iy] or iy in below[ix]:
-                        continue
-                    joins = tuple(pos[z] for z in self.join_set((x, y)))
-                    m = self.meet(x, y) if joins else bottom
-                    table[(k1, k2)] = (None if m == bottom else pos[m], joins)
+            for ix in range(n):
+                # the later elements incomparable to ix, never the bottom
+                for iy in sorted(set(range(ix + 1, n)) - self._below[ix] - above[ix]):
+                    joins = self._minimal(above[ix] & above[iy])
+                    m = self._largest_lower(ix, iy) if joins else bottom
+                    table[(pos[ix], pos[iy])] = (
+                        None if m == bottom else pos[m], tuple(map(pos.__getitem__, joins))
+                    )
             self._join_table = table
         return self._join_table
 
@@ -323,32 +315,33 @@ def validate_simplicial(poset: SimplicialPoset) -> ValidationReport:
     The least element needs no check here: the constructor rejects cycles
     and requires exactly one minimal element, and in a finite acyclic order
     every downward walk from x ends at a minimal element, so bottom <= x.
+    [0, x] is boolean by atom sets exactly when |atoms(x)| = rank(x) and
+    |[0, x]| = 2^rank(x), atom sets are distinct on [0, x], and each z <= x
+    is full: |[0, z]| = 2^|atoms(z)|.  Given the first three, the atom sets
+    of [0, x] are the subsets of atoms(x), and y <= z gives atoms(y) <=
+    atoms(z).  A full z maps [0, z] one-to-one onto the subsets of
+    atoms(z), so atoms(y) <= atoms(z) makes y the y' <= z of that atom set.
+    Conversely, where subsets give <=, each subset of atoms(z) is the atom
+    set of a y <= z, so z is full.  Only sizes are read, never the covers.
     """
-    violations = []
-
     # all maximal chains in a lower interval share the rank as their length
-    for u, l in poset.covers:
-        if poset.rank_of(u) != poset.rank_of(l) + 1:
-            violations.append(("graded covers", (u, l)))
+    violations = [
+        ("graded covers", (u, l))
+        for u, l in poset.covers
+        if poset.rank_of(u) != poset.rank_of(l) + 1
+    ]
 
-    for x in poset.elements:
-        interval = [y for y in poset.elements if poset.leq(y, x)]
-        ax = poset.atoms_below(x)
-        r = poset.rank_of(x)
-        ok = len(ax) == r and len(interval) == 2 ** r
-        if ok:
-            keys = {y: frozenset(poset.atoms_below(y)) for y in interval}
-            ok = len(set(keys.values())) == 2 ** r
-        if ok:
-            for y in interval:
-                for z in interval:
-                    if poset.leq(y, z) != (keys[y] <= keys[z]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if not ok:
-            violations.append(("boolean lower interval", (x,)))
+    below, keys = poset._below, poset._atom_sets
+    full = [len(b) == 2 ** len(k) for b, k in zip(below, keys)]
+    for x, r in enumerate(poset._rank):
+        size = 2 ** r
+        if not (
+            len(keys[x]) == r
+            and len(below[x]) == size
+            and all(full[y] for y in below[x])
+            and len({keys[y] for y in below[x]}) == size
+        ):
+            violations.append(("boolean lower interval", (poset.names[x],)))
 
     for w, x, mids in poset.rank2_intervals():
         if len(mids) != 2:

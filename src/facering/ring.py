@@ -77,7 +77,7 @@ class PolyRing:
         self.natoms = len(poset.atoms)
         self._aidx = {a: g for g, a in enumerate(poset.atoms)}
         self._vdeg = tuple(
-            tuple(1 if poset.leq(a, x) else 0 for a in poset.atoms)
+            tuple(1 if a in poset.atom_set(x) else 0 for a in poset.atoms)
             for x in self.variables
         )
         self._vrank = tuple(poset.rank_of(x) for x in self.variables)
@@ -165,25 +165,31 @@ class PolyRing:
 
         t_x t_y - t_{x^y} * sum of t_z over the join set; the meet factor is
         dropped when the meet is the bottom, and an empty join set leaves the
-        bare product.  The cache holds bare term dicts: cached polynomials
-        would point back at the ring, and that cycle keeps a dropped ring
-        alive until a full garbage collection.
+        bare product.  Relations with the same meet and a common join share
+        that tail, one tuple per ring; a join lies strictly above the pair
+        and their meet, so no two terms share a monomial.  The cache holds
+        bare term dicts: cached polynomials would point back at the ring,
+        and that cycle keeps a dropped ring alive until a full garbage
+        collection.
         """
         if self._generators is None:
-            one = self.field.one
+            one, n = self.field.one, self.nvars
             minus_one = -one
+            tails = {}
             out = []
             for (k1, k2), (meet_idx, joins) in self._rewrite.items():
-                lead = list(self._zero_mon)
-                lead[k1] += 1
-                lead[k2] += 1
+                lead = [0] * n
+                lead[k1] = lead[k2] = 1
                 terms = {tuple(lead): one}
                 for z in joins:
-                    tail = list(self._zero_mon)
-                    if meet_idx is not None:
-                        tail[meet_idx] += 1
-                    tail[z] += 1
-                    add_term(terms, tuple(tail), minus_one)
+                    tail = tails.get((meet_idx, z))
+                    if tail is None:
+                        tail = [0] * n
+                        if meet_idx is not None:
+                            tail[meet_idx] = 1
+                        tail[z] = 1
+                        tail = tails[(meet_idx, z)] = tuple(tail)
+                    terms[tail] = minus_one
                 out.append(terms)
             self._generators = tuple(out)
         return tuple(Polynomial(self, terms) for terms in self._generators)

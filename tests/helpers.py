@@ -3,7 +3,15 @@
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
-from facering import Envelope, PolyRing, SimplicialPoset, bundled_poset, tau_coefficient
+from facering import (
+    Envelope,
+    PolyRing,
+    PosetError,
+    SimplicialPoset,
+    ValidationReport,
+    bundled_poset,
+    tau_coefficient,
+)
 from facering.envelope import bounded_vectors
 from facering.linalg import kernel_basis
 from facering.scalars import QQ, add_term
@@ -441,28 +449,125 @@ def reference_is_complex(poset):
 
 def reference_generators(ring):
     """Term dicts of the defining relations, built pair by pair from
-    ``join_set`` and ``meet`` in the ring's variable order."""
-    poset, field = ring.poset, ring.field
-    pos = {x: k for k, x in enumerate(ring.variables)}
+    ``reference_join_table`` in the ring's variable order."""
+    field = ring.field
     out = []
-    for k1, k2 in combinations(range(ring.nvars), 2):
-        x, y = ring.variables[k1], ring.variables[k2]
-        if poset.leq(x, y) or poset.leq(y, x):
-            continue
+    for (k1, k2), (meet, joins) in reference_join_table(ring.poset).items():
         lead = [0] * ring.nvars
         lead[k1] += 1
         lead[k2] += 1
         terms = {tuple(lead): field.one}
-        joins = poset.join_set((x, y))
-        meet = poset.meet(x, y) if joins else poset.bottom
         for z in joins:
             tail = [0] * ring.nvars
-            if meet != poset.bottom:
-                tail[pos[meet]] += 1
-            tail[pos[z]] += 1
+            if meet is not None:
+                tail[meet] += 1
+            tail[z] += 1
             add_term(terms, tuple(tail), -field.one)
         out.append(terms)
     return out
+
+
+def reference_join_table(poset):
+    """The join table by its definition, read off ``leq`` alone: for each
+    incomparable pair of proper elements, in pair order, the position of
+    the common lower bound above all others (None at the bottom or without
+    joins) and the positions of the minimal common upper bounds.  Raises
+    ``PosetError`` where a pair with joins has no largest lower bound."""
+    proper = poset.proper_elements
+    pos = {x: k for k, x in enumerate(proper)}
+    leq = poset.leq
+    table = {}
+    for (k1, x), (k2, y) in combinations(enumerate(proper), 2):
+        if leq(x, y) or leq(y, x):
+            continue
+        ubs = [u for u in proper if leq(x, u) and leq(y, u)]
+        joins = tuple(
+            pos[u] for u in ubs if not any(v != u and leq(v, u) for v in ubs)
+        )
+        meet = poset.bottom
+        if joins:
+            lbs = [v for v in poset.elements if leq(v, x) and leq(v, y)]
+            tops = [v for v in lbs if all(leq(w, v) for w in lbs)]
+            if not tops:
+                raise PosetError("no largest common lower bound")
+            meet = tops[0]
+        table[(k1, k2)] = (None if meet == poset.bottom else pos[meet], joins)
+    return table
+
+
+def reference_rank2_intervals(poset):
+    """Every [w, x] of rank difference two with its middles, by scanning
+    all elements for w and again for the middles."""
+    out = []
+    for x in poset.elements:
+        rx = poset.rank_of(x)
+        for w in poset.elements:
+            if poset.rank_of(w) == rx - 2 and poset.leq(w, x):
+                mids = tuple(
+                    z
+                    for z in poset.elements
+                    if poset.rank_of(z) == rx - 1
+                    and poset.leq(w, z)
+                    and poset.leq(z, x)
+                )
+                out.append((w, x, mids))
+    return out
+
+
+def reference_validate_simplicial(poset):
+    """The axiom check on every pair of every lower interval: [0, x] is
+    boolean when it has 2^rank(x) elements with distinct atom sets, x has
+    rank(x) atoms, and y <= z holds exactly when atoms(y) <= atoms(z)."""
+    violations = []
+    for u, l in poset.covers:
+        if poset.rank_of(u) != poset.rank_of(l) + 1:
+            violations.append(("graded covers", (u, l)))
+    for x in poset.elements:
+        interval = [y for y in poset.elements if poset.leq(y, x)]
+        r = poset.rank_of(x)
+        ok = len(poset.atoms_below(x)) == r and len(interval) == 2 ** r
+        if ok:
+            keys = {y: frozenset(poset.atoms_below(y)) for y in interval}
+            ok = len(set(keys.values())) == 2 ** r and all(
+                poset.leq(y, z) == (keys[y] <= keys[z])
+                for y in interval
+                for z in interval
+            )
+        if not ok:
+            violations.append(("boolean lower interval", (x,)))
+    for w, x, mids in reference_rank2_intervals(poset):
+        if len(mids) != 2:
+            violations.append(("two middles in rank-2 intervals", (w, x)))
+    return ValidationReport(not violations, violations)
+
+
+MUTATIONS = ("drop", "redundant", "rewire")
+
+
+def mutated(poset, kind, rng):
+    """The element names and covers of poset with one cover edited:
+    "drop" removes one, "redundant" adds an edge u > l between comparable
+    elements that is not a cover, "rewire" points one cover at another
+    element of its lower end's rank.  Unchanged where no such edit exists.
+    The result may not be a poset; build it with ``SimplicialPoset``."""
+    names = list(poset.elements)
+    covers = [list(c) for c in poset.covers]
+    if kind == "drop" and covers:
+        covers.pop(rng.randrange(len(covers)))
+    elif kind == "redundant":
+        pairs = [
+            [u, l] for u in names for l in names
+            if u != l and poset.leq(l, u) and not poset.is_cover(u, l)
+        ]
+        if pairs:
+            covers.append(rng.choice(pairs))
+    elif kind == "rewire" and covers:
+        j = rng.randrange(len(covers))
+        u, l = covers[j]
+        others = [y for y in names if y != l and poset.rank_of(y) == poset.rank_of(l)]
+        if others:
+            covers[j] = [u, rng.choice(others)]
+    return names, covers
 
 
 def reference_linearity_sweep(m, laurent_bound, depth_bound):

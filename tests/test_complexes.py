@@ -340,6 +340,17 @@ def test_degree_vector_of_wrong_length_is_rejected(ring_p1, a):
         cohomology_dims_at(sc, a)
 
 
+@pytest.mark.parametrize("a", [(0.5, 1, 1), (1.0, 1, 1)])
+def test_degree_entries_must_be_integers(a):
+    # a float degree names no slice; both sides reject it as the envelope does
+    poset = bundled_poset("solid_triangle")
+    sc = build_scalar_complex(poset, QQ)
+    with pytest.raises(ValueError, match="degree entries must be integers"):
+        cohomology_dims_at(sc, a)
+    with pytest.raises(ValueError, match="degree entries must be integers"):
+        simplicial_oracle(poset, a)
+
+
 def test_point_complex():
     point = SimplicialPoset(["pt"], [])
     sc = build_scalar_complex(point, QQ)

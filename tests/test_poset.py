@@ -1,17 +1,32 @@
+import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from facering import PosetError, SimplicialPoset, bundled_poset, validate_simplicial
+from facering import (
+    PolyRing,
+    PosetError,
+    SimplicialPoset,
+    bundled_poset,
+    validate_simplicial,
+)
+from facering.scalars import QQ, PrimeField
 
 from helpers import (
     ALL_BUNDLED,
+    MUTATIONS,
     RP2_FACETS,
     TORUS7_FACETS,
     face_poset,
     glued_pair,
+    mutated,
     no_meet_poset,
+    reference_generators,
     reference_is_complex,
+    reference_join_table,
+    reference_rank2_intervals,
+    reference_validate_simplicial,
 )
 
 
@@ -282,3 +297,90 @@ def test_join_set_minimality():
     assert p.join_set(("12", "13")) == ("A", "B")
     assert p.join_set(("A", "B")) == ()
     assert p.join_set(("1", "12", "13")) == ("A", "B")
+
+
+def _agrees_with_references(p, fields=()):
+    """Validation, rank-2 intervals, the join table (or its PosetError) and
+    the relations over each field equal their all-pairs references."""
+    assert validate_simplicial(p).to_json() == reference_validate_simplicial(p).to_json()
+    assert p.rank2_intervals() == reference_rank2_intervals(p)
+    try:
+        want = reference_join_table(p)
+    except PosetError:
+        with pytest.raises(PosetError, match="no largest common lower bound"):
+            p.join_table()
+        return
+    assert list(p.join_table().items()) == list(want.items())
+    for field in fields:
+        ring = PolyRing(p, field)
+        assert [g.terms for g in ring.generators()] == reference_generators(ring)
+
+
+REFERENCE_POSETS = ALL_BUNDLED + ("rp2", "torus7", "glued_pair", "no_meet")
+
+
+@pytest.mark.parametrize("name", REFERENCE_POSETS)
+def test_poset_tables_match_references(name):
+    _agrees_with_references(_poset(name), (QQ,))
+
+
+@pytest.mark.parametrize("kind", MUTATIONS)
+@pytest.mark.parametrize("name", REFERENCE_POSETS)
+def test_mutated_poset_tables_match_references(name, kind):
+    # seeded single-cover edits, most of them invalid; the ones that are not
+    # posets (a dropped atom cover leaves two minimal elements) are skipped
+    base = _poset(name)
+    built = 0
+    for seed in range(4):
+        try:
+            p = SimplicialPoset(*mutated(base, kind, random.Random(f"{name}/{kind}/{seed}")))
+        except PosetError:
+            continue
+        built += 1
+        _agrees_with_references(p)
+    assert built
+
+
+def test_redundant_edge_keeps_the_interval_verdict():
+    # 12356 > 235 adds no order relation: only the grading fails.  A test
+    # that read the input edges as the Hasse diagram would call [0, 12356]
+    # not boolean here.
+    base = face_poset(["".join(f) for f in combinations("123456", 5)])
+    p = SimplicialPoset(base.elements, list(base.covers) + [("12356", "235")])
+    report = validate_simplicial(p)
+    assert report.violations == [("graded covers", ("12356", "235"))]
+    assert report.to_json() == reference_validate_simplicial(p).to_json()
+    assert p.rank2_intervals() == base.rank2_intervals()
+
+
+def test_rank2_interval_without_middles_is_listed():
+    # x > b skips a rank, so b lies two ranks below x with no middle
+    p = SimplicialPoset(
+        ["0", "a", "b", "d", "x"],
+        [["a", "0"], ["b", "0"], ["d", "a"], ["x", "d"], ["x", "b"]],
+    )
+    assert ("b", "x", ()) in p.rank2_intervals()
+    assert p.rank2_intervals() == reference_rank2_intervals(p)
+    report = validate_simplicial(p)
+    assert ("two middles in rank-2 intervals", ("b", "x")) in report.violations
+    assert report.to_json() == reference_validate_simplicial(p).to_json()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    facets=st.lists(
+        st.sets(st.sampled_from("123456"), min_size=1, max_size=4),
+        min_size=1,
+        max_size=5,
+    ),
+    kind=st.sampled_from((None,) + MUTATIONS),
+    seed=st.integers(0, 2**16),
+)
+def test_random_face_posets_match_references(facets, kind, seed):
+    p = face_poset(["".join(sorted(f)) for f in facets])
+    if kind is not None:
+        try:
+            p = SimplicialPoset(*mutated(p, kind, random.Random(seed)))
+        except PosetError:
+            return
+    _agrees_with_references(p, (QQ, PrimeField(2)))

@@ -148,14 +148,16 @@ def test_generators_match_the_pairwise_loop(name):
 
 
 def test_rings_on_one_poset_share_the_join_table(monkeypatch):
+    # the join table reads each incomparable pair's join set once, through
+    # the index-level rule it shares with join_set
     calls = []
-    join_set = SimplicialPoset.join_set
+    minimal = SimplicialPoset._minimal
 
-    def counting(self, xs):
-        calls.append(tuple(xs))
-        return join_set(self, xs)
+    def counting(self, common):
+        calls.append(common)
+        return minimal(self, common)
 
-    monkeypatch.setattr(SimplicialPoset, "join_set", counting)
+    monkeypatch.setattr(SimplicialPoset, "_minimal", counting)
     poset = bundled_poset("tetrahedron_boundary")
     first = PolyRing(poset, QQ)
     assert len(calls) == len(first._rewrite) > 0
@@ -163,6 +165,22 @@ def test_rings_on_one_poset_share_the_join_table(monkeypatch):
     second = PolyRing(poset, PrimeField(2))
     assert calls == []
     assert first._rewrite is second._rewrite is poset.join_table()
+
+
+@pytest.mark.parametrize("name", ["tetrahedron_boundary", "RP2"])
+def test_relations_with_one_meet_and_join_share_their_tail(name):
+    # the tail t_{x^y} t_z is one tuple per (meet, join) in a ring
+    poset = face_poset(RP2_FACETS) if name == "RP2" else bundled_poset(name)
+    ring = PolyRing(poset, QQ)
+    tails = {}
+    for (meet, joins), f in zip(ring._rewrite.values(), ring.generators()):
+        mons = list(f.terms)[1:]
+        assert len(mons) == len(joins)
+        for z, mon in zip(joins, mons):
+            first = tails.setdefault((meet, z), mon)
+            assert mon is first
+    # some (meet, join) serves more than one relation
+    assert len(tails) < sum(len(j) for _, j in ring._rewrite.values())
 
 
 def test_generators_homogeneous():

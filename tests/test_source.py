@@ -111,6 +111,7 @@ PAPER_OBJECTS = {
     "f_U": "the ideal member f_U over a join set",
     "g_pair": "the quadratic ideal member g of two join-set elements",
     "is_chain_monomial": "the basis test of the straightening normal form",
+    "meet": "the meet x^y in the relation t_x t_y - t_{x^y} * sum of t_z",
 }
 
 
