@@ -25,7 +25,7 @@ from itertools import combinations, product
 from operator import add, sub
 
 from .linalg import kernel_basis
-from .scalars import Combination, add_term
+from .scalars import Combination, add_term, check_integers
 
 
 def _check_bound(value, what):
@@ -70,10 +70,7 @@ def degree_vector(a, natoms):
     a = tuple(a)
     if len(a) != natoms:
         raise ValueError("degree vector has the wrong length")
-    for v in a:
-        if not isinstance(v, int):
-            raise ValueError(f"degree entries must be integers, got {a!r}")
-    return a
+    return check_integers(a, "degree entries")
 
 
 class EnvelopeElement(Combination):
@@ -98,6 +95,7 @@ class EnvelopeElement(Combination):
 
 class Envelope:
     """Envelope attached to one poset element, with its monomial calculus."""
+    _kernels = None  # depth bound -> degree-zero annihilator, made on first use
 
     def __init__(self, ring, x):
         poset = ring.poset
@@ -145,6 +143,7 @@ class Envelope:
         return EnvelopeElement(self, {self.unit_mon: self.ring.field.one})
 
     def monomial_key(self, laurent=None, inverse=None):
+        check_integers((*(laurent or {}).values(), *(inverse or {}).values()), "exponents")
         lau = [0] * self.natoms
         for name, e in (laurent or {}).items():
             if name not in self._apos:
@@ -440,16 +439,36 @@ class Envelope:
         contracts there (proof in ``_relation_table``).  ``kernel_basis``
         reduces the integer rows into the field, and reads the kernel off the
         reduced echelon form, which the order of the rows does not change.
+
+        One kernel per depth bound serves every degree: the one at degree
+        zero, translated by a_x, the entries of a at the atoms below x.
+        (1) For a >= 0 the slice is empty unless a is zero off the atoms of x
+        (``_slice_positions``).  (2) Then ``monomials_of_degree`` gives it as
+        (a_x - d_x, inv) over one list of (d_x, inv): the degree-zero slice
+        translated by a_x, in the same order.  (3) A relation's translations
+        apply wherever the inverse part allows and move every column by the
+        same vector: the rows are equal entry for entry, in the same order.
+        (4) So the kernels differ by that translation, multiplication by the
+        unit t^{a_x}: the S-linear shift of ``act_laurent``.
         """
         a = degree_vector(a, self.ring.natoms)
         if any(v < 0 for v in a):
             raise ValueError("degree must be componentwise non-negative")
-        mons, rows = self._annihilator_rows(a, depth_bound)
-        if not mons:
+        _check_bound(depth_bound, "depth bound")
+        if self._slice_positions(a) is None:
             return []
-        basis = kernel_basis(rows, len(mons), self.ring.field)
+        if self._kernels is None:
+            self._kernels = {}
+        basis = self._kernels.get(depth_bound)
+        if basis is None:
+            mons, rows = self._annihilator_rows((0,) * len(a), depth_bound)
+            basis = self._kernels[depth_bound] = [
+                [(mons[k], v) for k, v in enumerate(vec) if v]
+                for vec in kernel_basis(rows, len(mons), self.ring.field)
+            ]
+        ax = tuple(a[g] for g in self._acoord)
         return [
-            EnvelopeElement(self, {mons[k]: v for k, v in enumerate(vec) if v})
+            EnvelopeElement(self, {(tuple(map(add, lau, ax)), inv): v for (lau, inv), v in vec})
             for vec in basis
         ]
 
@@ -467,23 +486,29 @@ class Envelope:
         fixed translation wherever it exists, and it exists exactly where
         the monomial's inverse exponent at each position is at least the
         number of contractions there: only a contraction changes the inverse
-        part, lowering it by one.  A ``_step`` walk from a base with every
-        inverse exponent t blocks no contraction, so its ends minus the base
-        are all the translations.  Paths of one relation with one
+        part, lowering it by one.  One ``_step`` per variable, from a base
+        with every inverse exponent one, which blocks no move, gives its
+        moves; a term's translations sum one move of each of its variables,
+        folded in variable order.  Paths of one relation with one
         translation exist at the same monomials and reach the same target,
         so their signed counts merge, and a zero sum is dropped.
         """
         if self._table is None:
             terms = self.ring.relation_terms()
             top = max((len(ks) for _, ks, _ in terms), default=0)
+            base = (self.unit_mon[0], (1,) * self.ninv)
+            moves = [
+                [(lau, (inv.index(0),) if 0 in inv else ()) for lau, inv in self._step(z, base)]
+                for z in self.ring.variables
+            ]
             ends = {}
             for gi, ks, c in terms:
-                walk = [(self.unit_mon[0], (top,) * self.ninv)]
-                for k in ks:
-                    walk = [t for m in walk for t in self._step(self.ring.variables[k], m)]
-                for dl, inv in walk:
-                    need = tuple(j for j, e in enumerate(inv) for _ in range(top - e))
-                    add_term(ends, (need, dl, gi), c)
+                walk = moves[ks[0]]
+                for k in ks[1:]:
+                    walk = [(tuple(map(add, dl, m)), need + js)
+                            for dl, need in walk for m, js in moves[k]]
+                for dl, need in walk:
+                    add_term(ends, (tuple(sorted(need)), dl, gi), c)
             table, shared = {}, {}
             for (need, dl, gi), n in ends.items():
                 table.setdefault(need, []).extend((shared.setdefault(dl, dl), gi, n))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 import weakref
 
-from .scalars import QQ, Combination, add_term
+from .scalars import QQ, Combination, add_term, check_integers
 
 
 class Polynomial(Combination):
@@ -116,6 +116,7 @@ class PolyRing:
         return self.term(self.field.one, exps)
 
     def term(self, coeff, exps):
+        check_integers(tuple(exps.values()), "exponents")
         vec = [0] * self.nvars
         for name, e in exps.items():
             if name not in self._vidx:

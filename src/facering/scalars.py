@@ -168,6 +168,14 @@ def field_from_name(name: str, prime: int | None = None):
     raise FieldError(f"unknown field {name!r}")
 
 
+def check_integers(values, what):
+    """values, after ``ValueError`` if an entry is not an int: the one rule
+    for degree entries and exponents."""
+    if not all(isinstance(v, int) for v in values):
+        raise ValueError(f"{what} must be integers, got {values!r}")
+    return values
+
+
 def add_term(terms, key, c):
     """Add c to the coefficient of key in the sparse dict terms, in place.
 

@@ -12,12 +12,15 @@ from facering import Envelope, EnvelopeElement, bundled_poset, PolyRing, envelop
 from facering.cleanmap import check_clean, check_linearity, cover_map
 from facering.complexes import build_gamma, verify_dd_zero
 from facering.envelope import bounded_vectors, count_bounded_vectors
+from facering.linalg import kernel_basis
 from facering.scalars import QQ, PrimeField, add_term
 
 from helpers import (
     ALL_BUNDLED,
     RP2_FACETS,
+    TORUS7_FACETS,
     face_poset,
+    glued_pair,
     make_ring,
     random_envelope_element,
     random_polynomial,
@@ -313,6 +316,73 @@ def test_annihilator_matches_reference(field):
                     assert got == reference_annihilator_basis(env, a, depth), (x, a, depth)
 
 
+def _equivariance_cases(field):
+    """(poset, fresh ring, degree box) over the bundled posets, RP^2 and a
+    gluing that is not a complex; 0/1/2 degrees up to four atoms, else 0/1."""
+    posets = [bundled_poset(name) for name in ALL_BUNDLED]
+    for poset in posets + [face_poset(RP2_FACETS), glued_pair("123")]:
+        ring = PolyRing(poset, field)
+        top = 2 if ring.natoms <= 4 else 1
+        yield poset, ring, list(product(range(top + 1), repeat=ring.natoms))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=repr)
+def test_annihilator_is_the_translate_of_degree_zero(field):
+    """On a cold cache the basis at a, the box's far corner on the atoms of
+    x and zero elsewhere, is the reference's and is ``act_laurent(a_x, .)``
+    of the basis at degree zero solved on a fresh ring."""
+    for poset, ring, box in _equivariance_cases(field):
+        fresh = PolyRing(poset, field)
+        zero, top = box[0], box[-1][0]
+        for x in poset.elements:
+            env, env0 = Envelope.of(ring, x), Envelope.of(fresh, x)
+            a = tuple(top if poset.leq(atom, x) else 0 for atom in poset.atoms)
+            ax = (top,) * env.natoms
+            for depth in range(4):
+                got = env.annihilator_basis(a, depth)
+                assert got == reference_annihilator_basis(env, a, depth), (x, a, depth)
+                shifted = [env0.act_laurent(ax, v).terms for v in env0.annihilator_basis(zero, depth)]
+                assert shifted == [v.terms for v in got], (x, a, depth)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=repr)
+def test_annihilator_sweep_in_reverse_order(field):
+    """A degree box swept from its far corner down on a fresh ring, deepest
+    bound first, gives the reference's bases."""
+    for poset, ring, box in _equivariance_cases(field):
+        for x in poset.elements:
+            env = Envelope.of(ring, x)
+            for a in reversed(box):
+                for depth in reversed(range(4)):
+                    got = env.annihilator_basis(a, depth)
+                    assert got == reference_annihilator_basis(env, a, depth), (x, a, depth)
+
+
+def test_annihilator_solves_one_kernel_per_depth(monkeypatch):
+    """One elimination per (element, depth bound) with a nonempty slice,
+    whatever the degree, and none for an empty slice."""
+    calls = []
+
+    def counting(rows, ncols, field):
+        calls.append(ncols)
+        return kernel_basis(rows, ncols, field)
+
+    monkeypatch.setattr(envelope, "kernel_basis", counting)
+    for poset in (bundled_poset("tetrahedron_boundary"), glued_pair("123")):
+        ring = PolyRing(poset, QQ)
+        box = list(product(range(3), repeat=ring.natoms))
+        for x in poset.elements:
+            env = Envelope.of(ring, x)
+            for depth in range(4):
+                empty = [a for a in box if not reference_monomials_of_degree(env, a, depth)]
+                calls.clear()
+                assert all(env.annihilator_basis(a, depth) == [] for a in empty)
+                assert calls == [], (x, depth)
+                for a in box:
+                    env.annihilator_basis(a, depth)
+                assert len(calls) == 1, (x, depth)
+
+
 def test_annihilator_skip_keeps_part_of_a_relation(ring_p1):
     """At x in p1, z is not below x.  On the slice monomials with no z in
     their inverse part the feasibility rule drops the t[z] term of
@@ -370,13 +440,19 @@ def _walk_image(env, mon):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=repr)
 def test_relation_table_matches_step_walk(field):
-    """On every envelope of the bundled posets and RP^2 the table's counts
-    per (relation, target) equal a ``_step`` walk, at monomials with
-    inverse exponent 0 and 1 at each position and a shifted Laurent part."""
-    posets = [bundled_poset(name) for name in ALL_BUNDLED] + [face_poset(RP2_FACETS)]
-    for poset in posets:
+    """On every envelope of the bundled posets, RP^2, the seven-vertex torus
+    and a gluing (relations with two joins and with bottom meets) the
+    table's counts per (relation, target) equal a ``_step`` walk, at
+    monomials with inverse exponent 0 and 1 at each position and a shifted
+    Laurent part.  The walk is slow on the torus: one element of each rank
+    there."""
+    posets = [bundled_poset(name) for name in ALL_BUNDLED]
+    posets += [face_poset(RP2_FACETS), glued_pair("123")]
+    cases = [(poset, poset.elements) for poset in posets]
+    cases.append((face_poset(TORUS7_FACETS), ("0", "1", "12", "124")))
+    for poset, elements in cases:
         ring = PolyRing(poset, field)
-        for x in poset.elements:
+        for x in elements:
             env = Envelope.of(ring, x)
             shift = tuple(range(-1, env.natoms - 1))
             mons = [env.unit_mon, (shift, (1,) * env.ninv)]
@@ -385,6 +461,23 @@ def test_relation_table_matches_step_walk(field):
                 mons += [(shift, unit), (shift, tuple(1 - e for e in unit))]
             for mon in mons:
                 assert _table_image(env, mon) == _walk_image(env, mon), (x, mon)
+
+
+def test_relation_table_steps_each_variable_once(monkeypatch):
+    steps = []
+    step = Envelope._step
+
+    def counting(env, z, mon):
+        steps.append(z)
+        return step(env, z, mon)
+
+    monkeypatch.setattr(Envelope, "_step", counting)
+    for poset in (bundled_poset("tetrahedron_boundary"), glued_pair("123")):
+        ring = PolyRing(poset, QQ)
+        for x in poset.elements:
+            steps.clear()
+            Envelope.of(ring, x)._relation_table()
+            assert sorted(steps) == sorted(ring.variables), x
 
 
 def test_relation_table_is_built_once_per_envelope(monkeypatch):
@@ -419,6 +512,11 @@ def test_relation_table_is_built_once_per_envelope(monkeypatch):
     [
         lambda env: env.annihilator_basis((1.0, 1), 2),
         lambda env: env.annihilator_basis((1, 1), 2.5),
+        # (0, 1) is positive at y2, not below y1: an empty slice
+        lambda env: Envelope.of(env.ring, "y1").annihilator_basis((0, 1), 2.5),
+        lambda env: env.monomial(laurent={"y1": 0.5}, inverse={"x": 1}),
+        lambda env: env.monomial(laurent={"y1": 1}, inverse={"x": 1.5}),
+        lambda env: env.monomial_key(inverse={"z": Fraction(1)}),
         lambda env: env.monomials_of_degree((0.5, 0), 2),
         lambda env: env.monomials_of_degree((Fraction(1), 1), 2),
         lambda env: env.monomials_of_degree((1, 1), 2.5),

@@ -34,6 +34,16 @@ def test_variable_degree_errors(ring_p1):
         ring_p1.variable_degree("nope")
 
 
+@pytest.mark.parametrize("e", [0.5, 1.0, Fraction(1), "1"], ids=repr)
+def test_non_integer_exponents_are_rejected(ring_p1, e):
+    # a stored 0.5 printed as t[x] and straightened as if it were 1
+    with pytest.raises(ValueError, match="integer"):
+        ring_p1.monomial({"x": e})
+    with pytest.raises(ValueError, match="integer"):
+        ring_p1.term(Fraction(2), {"y1": 1, "x": e})
+    assert ring_p1.monomial({"x": 2}) == ring_p1.variable("x") * ring_p1.variable("x")
+
+
 def test_atom_degree_is_coordinate_vector():
     for name in ("hollow_triangle", "tetrahedron_boundary"):
         ring = make_ring(name)
