@@ -95,7 +95,6 @@ class EnvelopeElement(Combination):
 
 class Envelope:
     """Envelope attached to one poset element, with its monomial calculus."""
-    _kernels = None  # depth bound -> degree-zero annihilator, made on first use
 
     def __init__(self, ring, x):
         poset = ring.poset
@@ -122,6 +121,7 @@ class Envelope:
         self.unit_mon = ((0,) * self.natoms, (0,) * self.ninv)
         self._invcache = {}
         self._slices = {}
+        self._kernels = {}  # depth bound -> degree-zero annihilator
         self._table = None
 
     @classmethod
@@ -455,10 +455,8 @@ class Envelope:
         if any(v < 0 for v in a):
             raise ValueError("degree must be componentwise non-negative")
         _check_bound(depth_bound, "depth bound")
-        if self._slice_positions(a) is None:
+        if any(a[g] for g in self._free):
             return []
-        if self._kernels is None:
-            self._kernels = {}
         basis = self._kernels.get(depth_bound)
         if basis is None:
             mons, rows = self._annihilator_rows((0,) * len(a), depth_bound)

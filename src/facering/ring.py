@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import re
 import weakref
+from itertools import groupby
+from operator import itemgetter
 
 from .scalars import QQ, Combination, add_term, check_integers
 
@@ -87,7 +89,6 @@ class PolyRing:
         # ring on the poset: (meet index or None, join indices)
         self._rewrite = poset.join_table()
 
-        self._generators = None
         self._relation_terms = None
         # weak: envelopes and cover data point back at the ring, so a dropped
         # ring is freed by reference counting, not by the cyclic collector
@@ -166,77 +167,72 @@ class PolyRing:
 
         t_x t_y - t_{x^y} * sum of t_z over the join set; the meet factor is
         dropped when the meet is the bottom, and an empty join set leaves the
-        bare product.  Relations with the same meet and a common join share
-        that tail, one tuple per ring; a join lies strictly above the pair
-        and their meet, so no two terms share a monomial.  The cache holds
-        bare term dicts: cached polynomials would point back at the ring,
-        and that cycle keeps a dropped ring alive until a full garbage
-        collection.
+        bare product.  Built from ``relation_terms`` on each call; relations
+        with the same meet and a common join share that tail, one tuple per
+        call.  A join lies strictly above the pair and their meet, so no two
+        terms share a monomial.
         """
-        if self._generators is None:
-            one, n = self.field.one, self.nvars
-            minus_one = -one
-            tails = {}
-            out = []
-            for (k1, k2), (meet_idx, joins) in self._rewrite.items():
-                lead = [0] * n
-                lead[k1] = lead[k2] = 1
-                terms = {tuple(lead): one}
-                for z in joins:
-                    tail = tails.get((meet_idx, z))
-                    if tail is None:
-                        tail = [0] * n
-                        if meet_idx is not None:
-                            tail[meet_idx] = 1
-                        tail[z] = 1
-                        tail = tails[(meet_idx, z)] = tuple(tail)
-                    terms[tail] = minus_one
-                out.append(terms)
-            self._generators = tuple(out)
-        return tuple(Polynomial(self, terms) for terms in self._generators)
+        return self._polynomials(self.relation_terms())
 
     def relation_terms(self):
         """Every term of every defining relation, as (generator index, the
         variable indices the term multiplies by, integer coefficient), in
         the order of ``generators()``.
 
-        Built once per ring from the cached relations.  Their coefficients
-        are +1 and -1 only, so the integer coefficients are exact in every
-        field; a variable index appears once per unit of its exponent.
+        Read once per ring off the join table: +1 on the product of the pair
+        and -1 on each tail, in every field.  A variable index appears once
+        per unit of its exponent, in ascending order.
         """
         if self._relation_terms is None:
-            self.generators()
-            one = self.field.one
-            # in characteristic 2 the two keys coincide, and -1 is 1 there
-            sign = {one: 1, -one: -1}
-            self._relation_terms = tuple(
-                (gi, tuple(k for k, e in enumerate(mon) for _ in range(e)), sign[c])
-                for gi, terms in enumerate(self._generators)
-                for mon, c in terms.items()
-            )
+            out = []
+            for gi, ((k1, k2), (meet_idx, joins)) in enumerate(self._rewrite.items()):
+                out.append((gi, (k1, k2), 1))
+                for z in joins:
+                    ks = (z,) if meet_idx is None else tuple(sorted((meet_idx, z)))
+                    out.append((gi, ks, -1))
+            self._relation_terms = tuple(out)
         return self._relation_terms
+
+    def _polynomials(self, terms):
+        """Polynomials of (generator index, variable indices, +1 or -1)
+        terms, one per run of equal generator indices, in order.  Terms with
+        the same variables share one exponent tuple per call."""
+        one = self.field.one
+        coeff = {1: one, -1: -one}
+        mons = {}
+        out = []
+        last = None
+        for gi, ks, c in terms:
+            if gi != last:
+                last = gi
+                out.append({})
+            mon = mons.get(ks)
+            if mon is None:
+                vec = [0] * self.nvars
+                for k in ks:
+                    vec[k] += 1
+                mon = mons[ks] = tuple(vec)
+            out[-1][mon] = coeff[c]
+        return tuple(Polynomial(self, t) for t in out)
 
     def prime_generators(self, x):
         """Generators of the graded prime attached to x: the variables not
-        under x, plus the defining relations with those variables killed."""
+        under x, plus the defining relations with those variables killed,
+        each distinct one once, in first-seen order."""
         if x not in self.poset:
             raise ValueError(f"unknown element {x!r}")
         killed = tuple(
             k for k, z in enumerate(self.variables) if not self.poset.leq(z, x)
         )
         kset = set(killed)
-        reduced = []
-        seen = set()
-        for f in self.generators():
-            terms = {
-                m: c for m, c in f.terms.items() if all(m[k] == 0 for k in kset)
-            }
-            if terms:
-                g = Polynomial(self, terms)
-                if g not in seen:
-                    seen.add(g)
-                    reduced.append(g)
-        return tuple(self.variables[k] for k in killed), tuple(reduced)
+        kept = [t for t in self.relation_terms() if kset.isdisjoint(t[1])]
+        reduced = dict.fromkeys(
+            tuple((ks, c) for _, ks, c in group)
+            for _, group in groupby(kept, itemgetter(0))
+        )
+        return tuple(self.variables[k] for k in killed), self._polynomials(
+            (i, ks, c) for i, group in enumerate(reduced) for ks, c in group
+        )
 
     def face_projection(self, x, f):
         """Image of f under the quotient onto the face at x: variables not

@@ -467,6 +467,22 @@ def reference_generators(ring):
     return out
 
 
+def reference_prime_generators(ring, x, generators):
+    """The graded prime at x by its definition, from ``generators``, the
+    term dicts of ``reference_generators(ring)``: the variables not under x,
+    and each relation with its terms at those variables dropped, every
+    distinct nonzero one once, in order."""
+    killed = [k for k, z in enumerate(ring.variables) if not ring.poset.leq(z, x)]
+    reduced, seen = [], set()
+    for terms in generators:
+        kept = {m: c for m, c in terms.items() if not any(m[k] for k in killed)}
+        key = frozenset(kept.items())
+        if kept and key not in seen:
+            seen.add(key)
+            reduced.append(kept)
+    return tuple(ring.variables[k] for k in killed), reduced
+
+
 def reference_join_table(poset):
     """The join table by its definition, read off ``leq`` alone: for each
     incomparable pair of proper elements, in pair order, the position of

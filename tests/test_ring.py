@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,11 +11,13 @@ from facering.scalars import QQ, PrimeField
 from helpers import (
     ALL_BUNDLED,
     RP2_FACETS,
+    TORUS7_FACETS,
     face_poset,
     glued_pair,
     make_ring,
     random_polynomial,
     reference_generators,
+    reference_prime_generators,
 )
 
 
@@ -200,21 +203,62 @@ def test_generators_homogeneous():
             assert f.multidegree() is not None
 
 
-@pytest.mark.parametrize("name", ALL_BUNDLED + ("RP2",))
+RELATION_POSETS = {
+    **{name: lambda name=name: bundled_poset(name) for name in ALL_BUNDLED},
+    "RP2": lambda: face_poset(RP2_FACETS),
+    "torus7": lambda: face_poset(TORUS7_FACETS),
+    "glued_pair": lambda: glued_pair("123"),
+    "boundary_of_5_simplex": lambda: face_poset(
+        ["".join(f) for f in combinations("123456", 5)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RELATION_POSETS)
 def test_relation_terms_list_the_generators(name):
-    poset = face_poset(RP2_FACETS) if name == "RP2" else bundled_poset(name)
+    # against the relations built from the definition; the signs are read
+    # over Q, where +1 and -1 differ, and every field carries the same integers
+    poset = RELATION_POSETS[name]()
+    expected = [
+        (gi, tuple(k for k, e in enumerate(mon) for _ in range(e)), int(c))
+        for gi, terms in enumerate(reference_generators(PolyRing(poset, QQ)))
+        for mon, c in terms.items()
+    ]
     for field in (QQ, PrimeField(2), PrimeField(3)):
         ring = PolyRing(poset, field)
         table = ring.relation_terms()
         assert ring.relation_terms() is table
-        rebuilt = [{} for _ in ring.generators()]
-        for gi, ks, c in table:
-            mon = [0] * ring.nvars
-            for k in ks:
-                mon[k] += 1
-            assert tuple(mon) not in rebuilt[gi]
-            rebuilt[gi][tuple(mon)] = field.from_int(c)
-        assert rebuilt == [f.terms for f in ring.generators()]
+        assert list(table) == expected
+
+
+@pytest.mark.parametrize("name", RELATION_POSETS)
+def test_prime_generators_match_the_reference(name):
+    poset = RELATION_POSETS[name]()
+    for field in (QQ, PrimeField(2), PrimeField(3)):
+        ring = PolyRing(poset, field)
+        generators = reference_generators(ring)
+        for x in poset.elements:
+            killed, reduced = ring.prime_generators(x)
+            got = (killed, [f.terms for f in reduced])
+            assert got == reference_prime_generators(ring, x, generators)
+
+
+def test_relation_data_is_small_beside_the_join_table():
+    # a ring on the 127-element boundary of the 6-simplex holds its 6,069
+    # relations as index terms: one dense exponent tuple per term took
+    # about 11 MB
+    poset = face_poset(["".join(f) for f in combinations("1234567", 6)])
+    poset.join_table()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ring = PolyRing(poset, QQ)
+        ring.relation_terms()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(ring._rewrite) == 6069
+    assert held < 2_000_000
 
 
 def test_prime_generators_p1(ring_p1):
