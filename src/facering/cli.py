@@ -287,10 +287,15 @@ def cmd_complex(args):
         dd = verify_dd_zero(gc, laurent_bound=args.box, depth_bound=args.depth)
         rep["dd"] = dd.to_json()
         ok = _print_status("dd-zero", dd, with_checked=True) and ok
-        maps = [m for _, m in gc.maps.values()]
-        clean_ok = all(check_clean(m, args.clean_depth).passed for m in maps)
-        rep["differentials_clean"] = clean_ok
-        clean = CertReport("differentials clean", {"depth": args.clean_depth}, clean_ok)
+        # the cover maps in order, up to the first that fails
+        clean = CertReport("differentials clean", {"depth": args.clean_depth}, True)
+        for (u, l), (_, m) in gc.maps.items():
+            one = check_clean(m, args.clean_depth)
+            clean.checked += one.checked
+            if not one.passed:
+                clean.passed, clean.witness = False, {"cover": [u, l], **one.witness}
+                break
+        rep["differentials_clean"] = clean.to_json()
         ok = _print_status("differentials clean", clean) and ok
     _write_cert(args, rep)
     return EXIT_OK if ok else EXIT_PROPERTY

@@ -41,26 +41,15 @@ def build_gamma(ring) -> EnvelopeComplex:
     return EnvelopeComplex(ring, sc.terms, maps)
 
 
-def _diamonds_below(env):
-    """Each rank-2 interval [w < x] at x = env.x as (w, middles)."""
-    poset = env.ring.poset
-    mids = {}
-    for z in poset.lower_covers(env.x):
-        for w in poset.lower_covers(z):
-            mids.setdefault(w, []).append(z)
-    return mids.items()
-
-
 def dd_sweep_size(ring, laurent_bound, depth_bound):
     """Number of source monomials ``verify_dd_zero`` expands at these bounds:
     the active box of every rank-2 interval [w < x], the (laurent_bound +
     1)**2 exponents of its two removed atoms times its active inverse
     vectors."""
-    envs = [Envelope.of(ring, x) for x in ring.poset.elements]
+    envs = {x: Envelope.of(ring, x) for x in ring.poset.elements}
     return sum(
-        env.box_size(laurent_bound, depth_bound, w)
-        for env in envs
-        for w, _ in _diamonds_below(env)
+        envs[x].box_size(laurent_bound, depth_bound, w)
+        for w, x, _ in ring.poset.rank2_intervals()
     )
 
 
@@ -89,6 +78,9 @@ def verify_dd_zero(gc: EnvelopeComplex, laurent_bound=3, depth_bound=3) -> CertR
     implies vanishing in any coefficient field.
     """
     ring = gc.ring
+    below = {}
+    for w, x, zs in ring.poset.rank2_intervals():
+        below.setdefault(x, []).append((w, zs))
     diamonds = {}
     checked = 0
     witness = None
@@ -99,7 +91,7 @@ def verify_dd_zero(gc: EnvelopeComplex, laurent_bound=3, depth_bound=3) -> CertR
             env = Envelope.of(ring, x)
             checked += env.box_size(laurent_bound, depth_bound)
             bad = []
-            for w, zs in _diamonds_below(env):
+            for w, zs in below.get(x, ()):
                 routes = []
                 for z in zs:
                     (s1, m1), (s2, m2) = gc.maps[(x, z)], gc.maps[(z, w)]

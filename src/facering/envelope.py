@@ -225,30 +225,37 @@ class Envelope:
             out.append((lau, inv[:j] + (e - 1,) + inv[j + 1:]))
         return out
 
+    def _terms(self, elem):
+        """elem's terms; ``ValueError`` if elem lives in another envelope."""
+        if elem.env is not self:
+            raise ValueError("element lives in a different envelope")
+        return elem.terms
+
     def act_variable(self, z, elem):
         """Action of a single variable, monomial by monomial."""
-        if z == self.ring.poset.bottom:
-            raise ValueError("the bottom element carries no variable")
-        if z not in self._apos and z not in self._ipos:
-            raise ValueError(f"unknown variable {z!r}")
+        self.ring.variable_degree(z)  # ValueError on a name with no variable
         out = {}
-        for mon, c in elem.terms.items():
+        for mon, c in self._terms(elem).items():
             for key in self._step(z, mon):
                 add_term(out, key, c)
         return EnvelopeElement(self, out)
 
     def act_monomial(self, mon, elem):
-        for k, e in enumerate(mon):
-            if e:
-                z = self.ring.variables[k]
-                for _ in range(e):
-                    elem = self.act_variable(z, elem)
-                    if not elem.terms:
-                        return elem
+        """Action of the monomial with exponent tuple mon, in ring order."""
+        check_integers(mon, "exponents")
+        if len(mon) != self.ring.nvars or min(mon, default=0) < 0:
+            raise ValueError(f"not an exponent tuple of this ring: {mon!r}")
+        self._terms(elem)
+        for z, e in zip(self.ring.variables, mon):
+            for _ in range(e):
+                if not elem.terms:
+                    return elem
+                elem = self.act_variable(z, elem)
         return elem
 
     def act_polynomial(self, f, elem):
         self.ring._check(f)
+        self._terms(elem)
         acc = {}
         for mon, c in f.terms.items():
             for key, v in self.act_monomial(mon, elem).terms.items():
@@ -262,7 +269,7 @@ class Envelope:
             raise ValueError(f"{z!r} is not an inverse variable at {self.x!r}")
         j = self._ipos[z]
         out = {}
-        for (lau, inv), c in elem.terms.items():
+        for (lau, inv), c in self._terms(elem).items():
             e = inv[j]
             if e > 0:
                 # injective on the surviving monomials, so no collisions
@@ -270,10 +277,11 @@ class Envelope:
         return EnvelopeElement(self, out)
 
     def act_laurent(self, shift, elem):
-        """Multiplication by a Laurent unit on the atom part."""
+        """Multiplication by the Laurent unit t^shift, over the atoms below x."""
+        shift = degree_vector(shift, self.natoms)
         out = {}
-        for (lau, inv), c in elem.terms.items():
-            out[(tuple(a + s for a, s in zip(lau, shift)), inv)] = c
+        for (lau, inv), c in self._terms(elem).items():
+            out[(tuple(map(add, lau, shift)), inv)] = c
         return EnvelopeElement(self, out)
 
     # ---------- coordinates a descent moves ----------
@@ -432,11 +440,8 @@ class Envelope:
 
         Truncation is exact because the action never raises depth.  Each row
         is one (relation, target monomial); its entry at a slice monomial is
-        the signed integer count of the relation's translations
-        (``_relation_table``) that apply there and land on the target.  A
-        translation applies to a monomial exactly when its inverse exponent
-        at each position is at least the number of times the translation
-        contracts there (proof in ``_relation_table``).  ``kernel_basis``
+        the signed integer count of the relation's paths through ``_step``
+        from there to the target (``_relation_table``).  ``kernel_basis``
         reduces the integer rows into the field, and reads the kernel off the
         reduced echelon form, which the order of the rows does not change.
 
@@ -445,9 +450,9 @@ class Envelope:
         (1) For a >= 0 the slice is empty unless a is zero off the atoms of x
         (``_slice_positions``).  (2) Then ``monomials_of_degree`` gives it as
         (a_x - d_x, inv) over one list of (d_x, inv): the degree-zero slice
-        translated by a_x, in the same order.  (3) A relation's translations
-        apply wherever the inverse part allows and move every column by the
-        same vector: the rows are equal entry for entry, in the same order.
+        translated by a_x, in the same order.  (3) The rows depend only on
+        the columns' inverse parts (``_annihilator_rows``), and those are the
+        degree-zero slice's, in the same order: the rows are equal.
         (4) So the kernels differ by that translation, multiplication by the
         unit t^{a_x}: the S-linear shift of ``act_laurent``.
         """
@@ -471,58 +476,57 @@ class Envelope:
         ]
 
     def _relation_table(self):
-        """(table, t): each defining relation's action on this envelope as
-        exponent translations, built on first use, and t the longest relation
-        term's length.  The table maps the positions a translation contracts,
-        ascending with repeats, to a flat tuple of (Laurent translation,
-        relation index, count) triples, each Laurent translation held once.
+        """(table, t): each defining relation's action on this envelope,
+        built on first use, and t the longest relation term's length.  The
+        table maps the positions a relation's paths contract, ascending with
+        repeats, to a flat tuple of (relation index, signed count) pairs.
 
-        ``_step`` moves a monomial by a fixed vector: a Laurent unit vector,
-        a face bump, or minus an inverse unit vector (a contraction), the
-        last only where that inverse exponent is positive.  So a path of a
-        relation term (``PolyRing.relation_terms``) through ``_step`` is one
-        fixed translation wherever it exists, and it exists exactly where
-        the monomial's inverse exponent at each position is at least the
-        number of contractions there: only a contraction changes the inverse
-        part, lowering it by one.  One ``_step`` per variable, from a base
-        with every inverse exponent one, which blocks no move, gives its
-        moves; a term's translations sum one move of each of its variables,
-        folded in variable order.  Paths of one relation with one
-        translation exist at the same monomials and reach the same target,
-        so their signed counts merge, and a zero sum is dropped.
+        A path of a relation term (``PolyRing.relation_terms``) through
+        ``_step`` exists at a monomial exactly when its inverse exponent at
+        each position is at least the number of contractions there, and its
+        target's inverse part is the monomial's minus those contractions:
+        only a contraction changes the inverse part, lowering an exponent by
+        one.  The relations and every ``_step`` move are homogeneous in the
+        atom grading, and a monomial's Laurent part is fixed by its degree
+        and inverse part (``monomials_of_degree``).  So paths of one relation
+        with one contraction multiset exist at the same monomials and reach
+        the same target: their signed counts merge, and a zero sum is
+        dropped.  One ``_step`` per variable, from a base with every inverse
+        exponent one, which blocks no move, gives its contractions.
         """
         if self._table is None:
             terms = self.ring.relation_terms()
             top = max((len(ks) for _, ks, _ in terms), default=0)
             base = (self.unit_mon[0], (1,) * self.ninv)
             moves = [
-                [(lau, (inv.index(0),) if 0 in inv else ()) for lau, inv in self._step(z, base)]
+                [(inv.index(0),) if 0 in inv else () for _, inv in self._step(z, base)]
                 for z in self.ring.variables
             ]
             ends = {}
             for gi, ks, c in terms:
                 walk = moves[ks[0]]
                 for k in ks[1:]:
-                    walk = [(tuple(map(add, dl, m)), need + js)
-                            for dl, need in walk for m, js in moves[k]]
-                for dl, need in walk:
-                    add_term(ends, (tuple(sorted(need)), dl, gi), c)
-            table, shared = {}, {}
-            for (need, dl, gi), n in ends.items():
-                table.setdefault(need, []).extend((shared.setdefault(dl, dl), gi, n))
+                    walk = [need + js for need in walk for js in moves[k]]
+                for need in walk:
+                    add_term(ends, (tuple(sorted(need)), gi), c)
+            table = {}
+            for (need, gi), n in ends.items():
+                table.setdefault(need, []).extend((gi, n))
             self._table = ({need: tuple(flat) for need, flat in table.items()}, top)
         return self._table
 
     def _annihilator_rows(self, a, depth_bound):
         """The degree-a slice monomials of depth at most depth_bound, and the
         integer rows whose kernel ``annihilator_basis`` returns, one per
-        (relation, target) with a nonzero count.  A monomial looks up only
-        the sub-multisets of its inverse exponents as contracted positions,
-        and sets each row entry once: one relation's translations differ."""
+        (relation, target) with a nonzero count.  A relation's targets from
+        one slice share a degree, so each is named by the relation and its
+        inverse part (``_relation_table``).  A monomial looks up only the
+        sub-multisets of its inverse exponents as contracted positions, and
+        sets each row entry once: they leave distinct inverse parts."""
         mons = self.monomials_of_degree(a, depth_max=depth_bound)
         table, top = self._relation_table()
         rows = {}
-        for col, (lau, inv) in enumerate(mons):
+        for col, (_, inv) in enumerate(mons):
             held = [j for j, e in enumerate(inv) for _ in range(min(e, top))]
             for need in dict.fromkeys(c for r in range(top + 1) for c in combinations(held, r)):
                 if need not in table:
@@ -532,11 +536,10 @@ class Envelope:
                     tinv[j] -= 1
                 tinv = tuple(tinv)
                 it = iter(table[need])
-                for dl, gi, n in zip(it, it, it):
-                    key = (gi, (tuple(map(add, lau, dl)), tinv))
-                    row = rows.get(key)
+                for gi, n in zip(it, it):
+                    row = rows.get((gi, tinv))
                     if row is None:
-                        row = rows[key] = [0] * len(mons)
+                        row = rows[(gi, tinv)] = [0] * len(mons)
                     row[col] = n
         return mons, list(rows.values())
 
@@ -549,7 +552,7 @@ class Envelope:
         kills nothing outright), then clears negative Laurent exponents with
         a plain atom monomial.
         """
-        if elem.is_zero():
+        if not self._terms(elem):
             raise ValueError("no witness for the zero element")
         ring = self.ring
         f = ring.one()

@@ -133,8 +133,10 @@ def random_envelope_element(env, rng, terms=2, laurent_bound=2, depth_max=3):
 def subset_expansion_action(env, exps, elem):
     """Independent oracle for the polynomial-monomial action: expand the
     comultiplication of the product over all subsets of variable occurrences
-    instead of iterating single-variable actions."""
+    instead of iterating single-variable actions.  Reads the order and the
+    atoms off the poset, not the tables the envelope's action reads."""
     ring = env.ring
+    poset = ring.poset
     field = ring.field
     occurrences = []
     for k, e in enumerate(exps):
@@ -150,14 +152,11 @@ def subset_expansion_action(env, exps, elem):
                 dead = False
                 for i in left:
                     z = occurrences[i]
-                    if z in env._apos:
-                        lau2[env._apos[z]] += 1
-                    elif env._ileq[env._ipos[z]]:
-                        for t, b in enumerate(env._ibump[env._ipos[z]]):
-                            lau2[t] += b
-                    else:
+                    if not poset.leq(z, env.x):
                         dead = True
                         break
+                    for a in poset.atom_set(z):
+                        lau2[env.atoms.index(a)] += 1
                 if dead:
                     continue
                 # contraction factor on the inverse part
@@ -166,10 +165,10 @@ def subset_expansion_action(env, exps, elem):
                     if i in left_set:
                         continue
                     z = occurrences[i]
-                    if z not in env._ipos:
+                    if z not in env.inv_vars:
                         dead = True
                         break
-                    j = env._ipos[z]
+                    j = env.inv_vars.index(z)
                     if inv2[j] == 0:
                         dead = True
                         break

@@ -5,8 +5,10 @@ import pytest
 from facering import Envelope, PolyRing, bundled_poset
 from facering import cli
 from facering.bundled import bundled_poset_text
+from facering.cleanmap import CertReport, check_clean, clean_sweep_size
 from facering.cli import _warn_if_cleanmap_long, main
 from facering.complexes import dd_sweep_size
+from facering.scalars import QQ
 
 from helpers import active_linearity_counts
 
@@ -183,6 +185,41 @@ def test_complex_dd(capsys):
     out = capsys.readouterr().out
     assert "dd-zero: pass" in out
     assert "differentials clean: pass" in out
+
+
+def test_complex_dd_certificate_records_the_clean_sweep(monkeypatch, tmp_path, capsys):
+    """The differentials_clean entry is a report of its depth, of the
+    monomials the clean sweeps checked, and of the first failing cover."""
+    path = tmp_path / "dd.json"
+    argv = ["complex", "--poset", "p1", "--dd", "--box", "1", "--depth", "1",
+            "--clean-depth", "2", "--json", str(path)]
+    assert main(argv) == 0
+    ring = PolyRing(bundled_poset("p1"), QQ)
+    covers = ring.poset.covers
+    sizes = [clean_sweep_size(Envelope.of(ring, u), 2) for u, _ in covers]
+    clean = json.loads(path.read_text())["differentials_clean"]
+    assert clean == {"property": "differentials clean", "box": {"depth": 2},
+                     "status": "pass", "checked": sum(sizes)}
+    assert sum(sizes) > 0
+    capsys.readouterr()
+
+    swept = []
+
+    def failing_second(m, depth_bound):
+        swept.append(m)
+        rep = check_clean(m, depth_bound)
+        if len(swept) == 2:
+            return CertReport(rep.name, rep.bounds, False, checked=1, witness={"input": "w"})
+        return rep
+
+    monkeypatch.setattr(cli, "check_clean", failing_second)
+    assert main(argv) == 3
+    assert "differentials clean: fail (depth <= 2)" in capsys.readouterr().out
+    assert len(swept) == 2
+    clean = json.loads(path.read_text())["differentials_clean"]
+    assert clean["status"] == "fail"
+    assert clean["checked"] == sizes[0] + 1
+    assert clean["witness"] == {"cover": list(covers[1]), "input": "w"}
 
 
 def test_json_certificate_deterministic(tmp_path):

@@ -113,15 +113,62 @@ def test_act_polynomial_examples(env_x, ring_p1):
 
 
 def test_act_polynomial_matches_subset_expansion(ring_p1, rng):
-    for x in ("x", "y1", "0"):
-        env = Envelope.of(ring_p1, x)
-        for _ in range(60):
-            f = random_polynomial(ring_p1, rng, terms=1, max_vars=2, max_exp=2)
-            ((mon, c),) = f.terms.items()
-            e = random_envelope_element(env, rng)
-            via_iteration = env.act_monomial(mon, e)
-            via_subsets = subset_expansion_action(env, mon, e)
-            assert via_iteration == via_subsets
+    """On p1 and on the tetrahedron's boundary, whose facets bump three
+    atoms at once."""
+    tet = make_ring("tetrahedron_boundary")
+    for ring, xs in ((ring_p1, ("x", "y1", "0")), (tet, ("123", "12", "0"))):
+        for x in xs:
+            env = Envelope.of(ring, x)
+            for _ in range(60):
+                f = random_polynomial(ring, rng, terms=1, max_vars=2, max_exp=2)
+                ((mon, c),) = f.terms.items()
+                e = random_envelope_element(env, rng)
+                via_iteration = env.act_monomial(mon, e)
+                via_subsets = subset_expansion_action(env, mon, e)
+                assert via_iteration == via_subsets
+
+
+def test_actions_reject_another_envelopes_element():
+    """At 12 on the solid triangle, elements of 13 (same shape), of 123 (a
+    larger one) and of 12 in another ring over the same poset."""
+    ring = make_ring("solid_triangle")
+    env = Envelope.of(ring, "12")
+    t2 = ring.variable("2")
+    ((exps, _),) = t2.terms.items()
+    calls = [
+        lambda e: env.act_variable("2", e),
+        lambda e: env.act_monomial(exps, e),
+        lambda e: env.act_monomial((0,) * ring.nvars, e),
+        lambda e: env.act_polynomial(t2, e),
+        lambda e: env.act_polynomial(ring.zero(), e),
+        lambda e: env.act_tilde("3", e),
+        lambda e: env.act_laurent((0, 0), e),
+        lambda e: env.essential_witness(e),
+    ]
+    foreign = [
+        Envelope.of(ring, "13").monomial(inverse={"2": 1}),
+        Envelope.of(ring, "13").unit(),
+        Envelope.of(ring, "123").unit(),
+        Envelope.of(make_ring("solid_triangle"), "12").unit(),
+    ]
+    for e in foreign:
+        for call in calls:
+            with pytest.raises(ValueError, match="different envelope"):
+                call(e)
+
+
+def test_act_laurent_and_act_monomial_check_their_tuples():
+    ring = make_ring("solid_triangle")
+    env = Envelope.of(ring, "123")
+    unit = env.unit()
+    assert env.act_laurent((1, 0, -1), unit) == env.monomial({"1": 1, "3": -1})
+    for shift in [(1,), (1, 0, 0, 0), (0.5, 0, 0), ("1", 0, 0)]:
+        with pytest.raises(ValueError):
+            env.act_laurent(shift, unit)
+    n = ring.nvars
+    for exps in [(1,), (0,) * (n + 1), (1.0,) + (0,) * (n - 1), (-1,) + (0,) * (n - 1)]:
+        with pytest.raises(ValueError):
+            env.act_monomial(exps, unit)
 
 
 def test_act_tilde(env_x, ring_p1, rng):
@@ -394,9 +441,9 @@ def test_annihilator_skip_keeps_part_of_a_relation(ring_p1):
     assert not ring_p1.poset.leq("z", "x")
     (gi,) = {gi for gi, ks, _ in ring_p1.relation_terms() if ks == (kz,)}
     assert len([ks for g, ks, _ in ring_p1.relation_terms() if g == gi]) == 3
-    # the t[z] term's one translation contracts z once
+    # the t[z] term's one path contracts z once
     table, _ = env._relation_table()
-    assert gi in table[(jz,)][1::3]
+    assert gi in table[(jz,)][0::2]
     mons = env.monomials_of_degree((1, 1), depth_max=3)
     skipped = [m for m in mons if m[1][jz] == 0]
     assert skipped and len(skipped) < len(mons)
@@ -410,42 +457,46 @@ def test_annihilator_skip_keeps_part_of_a_relation(ring_p1):
 
 
 def _table_image(env, mon):
-    """{(relation index, target): count} of mon under the relation table,
-    each translation kept where its target's inverse part is non-negative."""
+    """{(relation index, target inverse part): count} of mon under the
+    relation table, each contraction multiset kept where its target's
+    inverse part is non-negative."""
     table, _ = env._relation_table()
-    lau, inv = mon
     out = {}
     for need, flat in table.items():
-        tinv = list(inv)
+        tinv = list(mon[1])
         for j in need:
             tinv[j] -= 1
         if min(tinv, default=0) >= 0:
             it = iter(flat)
-            for dl, gi, n in zip(it, it, it):
-                add_term(out, (gi, (tuple(map(add, lau, dl)), tuple(tinv))), n)
+            for gi, n in zip(it, it):
+                add_term(out, (gi, tuple(tinv)), n)
     return out
 
 
 def _walk_image(env, mon):
-    """The same image, walking each relation term through ``_step``."""
-    out = {}
+    """The same image, walking each relation term through ``_step``, after
+    checking on every path end that the relation and the target inverse
+    part fix the Laurent part."""
+    out, lau_of = {}, {}
     for gi, ks, c in env.ring.relation_terms():
         ends = [mon]
         for k in ks:
             ends = [t for m in ends for t in env._step(env.ring.variables[k], m)]
-        for t in ends:
-            add_term(out, (gi, t), c)
+        for lau, inv in ends:
+            assert lau_of.setdefault((gi, inv), lau) == lau, (gi, inv)
+            add_term(out, (gi, inv), c)
     return out
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=repr)
 def test_relation_table_matches_step_walk(field):
     """On every envelope of the bundled posets, RP^2, the seven-vertex torus
-    and a gluing (relations with two joins and with bottom meets) the
-    table's counts per (relation, target) equal a ``_step`` walk, at
-    monomials with inverse exponent 0 and 1 at each position and a shifted
-    Laurent part.  The walk is slow on the torus: one element of each rank
-    there."""
+    and a gluing (relations with two joins and with bottom meets) a
+    ``_step`` walk of each relation term never reaches two Laurent parts
+    with one relation and target inverse part, and the table's counts per
+    (relation, target inverse part) equal the walk's, at monomials with
+    inverse exponent 0 and 1 at each position and a shifted Laurent part.
+    The walk is slow on the torus: one element of each rank there."""
     posets = [bundled_poset(name) for name in ALL_BUNDLED]
     posets += [face_poset(RP2_FACETS), glued_pair("123")]
     cases = [(poset, poset.elements) for poset in posets]
