@@ -103,6 +103,7 @@ class CoverData:
             )
         self._kept_bumps = tuple(zb[:r] + zb[r + 1:] for zb in zbumps)
         self._dcache = {}
+        self._kept = _picker([*range(r), *range(r + 1, src.natoms)])
 
     @classmethod
     def of(cls, ring, upper, lower):
@@ -113,21 +114,27 @@ class CoverData:
         return cd
 
     def _expansions(self, budget):
-        """Each way to move at most budget units into Z: the (source inverse
-        position, units) of each Z element that gets some, their total, and
-        the Laurent bump they give the kept atoms."""
+        """The table entry of a removed-atom exponent -budget (see
+        ``CleanMap``): one (kept-atom bump, moves, rest) per way to move at
+        most budget units into Z.  The moves are the (source inverse
+        position, target inverse position, units) of each Z element that
+        gets some; rest puts the units left at the removed atom's target
+        position, and is empty when none are left."""
         cached = self._dcache.get(budget)
         if cached is None:
             out = []
+            r_tgt = self.r_tgt
+            rests = [((r_tgt, left),) if left else () for left in range(budget + 1)]
             for d in bounded_vectors((1,) * len(self.z_src), budget):
                 bump = [0] * (self.source.natoms - 1)
-                for dz, zb in zip(d, self._kept_bumps):
+                moves = []
+                for j, dz, zb in zip(self.z_src, d, self._kept_bumps):
                     if dz:
+                        moves.append((j, j + (j >= r_tgt), dz))
                         for t, b in enumerate(zb):
                             if b:
                                 bump[t] += dz
-                moves = tuple((j, dz) for j, dz in zip(self.z_src, d) if dz)
-                out.append((moves, sum(d), tuple(bump)))
+                out.append((tuple(bump), tuple(moves), rests[budget - sum(d)]))
             cached = self._dcache[budget] = tuple(out)
         return cached
 
@@ -139,38 +146,87 @@ class CoverData:
         count of its interleavings; monomials with positive removed-atom
         exponent map to zero.
         """
-        r = self.r_pos
-        a_r = lau[r]
+        a_r = lau[self.r_pos]
         if a_r > 0:
             return ()
-        kept = lau[:r] + lau[r + 1:]
-        out = []
-        for moves, sd, bump in self._expansions(-a_r):
-            coeff = 1
-            ti = list(inv)
-            for j, dz in moves:
-                b = inv[j]
-                coeff *= comb(b + dz, b)
-                ti[j] = b + dz
-            ti.insert(self.r_tgt, -(a_r + sd))
-            out.append((tuple(map(add, kept, bump)), tuple(ti), coeff))
-        return out
+        return _entry_terms(self._expansions(-a_r), self._kept(lau), inv, (self.r_tgt,))
+
+
+def _entry_terms(entry, kept, inv, rtgt):
+    """[(laurent, inverse, int coeff)]: the terms of a table entry (see
+    ``CleanMap``) translated to a monomial with kept-atom Laurent part kept
+    and inverse part inv, which gets a zero at each target inverse position
+    in rtgt (ascending) before the moves and rest are written."""
+    base = list(inv)
+    for p in rtgt:
+        base.insert(p, 0)
+    out = []
+    for bump, moves, rest in entry:
+        k = 1
+        ti = base.copy()
+        for j, p, d in moves:
+            b = inv[j]
+            k *= comb(b + d, d)
+            ti[p] = b + d
+        for p, v in rest:
+            ti[p] = v
+        out.append((tuple(map(add, kept, bump)), tuple(ti), k))
+    return out
+
+
+def _picker(positions):
+    """The function taking a tuple to its entries at positions, as a tuple."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (p,) = positions
+        return lambda t: (t[p],)
+    return lambda t: ()
 
 
 class CleanMap:
     """Composite of cover steps along a saturated chain, sending the source
     unit to the target unit.
 
-    A composite kills what its removed atoms kill: it is zero on every
-    monomial with a positive Laurent exponent at an atom of the source that
-    is not below the target (the Laurent positions of
-    ``Envelope.active_positions(target)``).  Each cover step maps a monomial
-    with a positive exponent at its removed atom to zero, and adds only
-    non-negative bumps to the exponents of the atoms it keeps, so an atom's
-    exponent never falls before the step that removes it.  A chain of two or
-    more covers drops those monomials before its first step; they produce
-    no term at all, so the image is the same.  A single cover already stops
-    at its removed atom.
+    The map expands each source monomial in one pass, from a table with one
+    entry per vector a of its exponents at the removed atoms (the atoms of
+    the source not below the target, the Laurent positions of
+    ``Envelope.active_positions(target)``).  The entry of a is the image of
+    the probe monomial with exponents a there and zero everywhere else,
+    stored per term as its Laurent part (a bump of the kept atoms), its
+    moves, the (source inverse position j, target inverse position, units
+    d_j) of each Z element the term moved units into, and the rest, the
+    exponents it leaves at the removed atoms' inverse coordinates.  A
+    monomial with kept-atom Laurent part K and inverse part c maps to the
+    sum over the entry of prod C(c_j + d_j, d_j) over the moves, times the
+    monomial with Laurent part K + bump and inverse part c (zero at the
+    removed atoms) plus the moved units and the rest.
+
+    Proof.  Let the chain be u_0 > u_1 > ... > u_k, step i removing the atom
+    r_i and moving units into Z_i, the elements below u_{i-1} but not below
+    u_i (``CoverData``).  The Z_i are pairwise disjoint, since an element of
+    Z_j with j > i is below u_{j-1} <= u_i; no r_i lies in any Z_j, since
+    r_i is an atom below u_{i-1} and is not below u_i.  So step i reads each
+    Z_i exponent as the input's c_j, untouched by earlier steps, and its
+    binomials are C(c_j + d_j, d_j); a move set fixes the term's inverse
+    part at every Z position, so distinct paths give distinct terms, each
+    with coefficient 1 at the probe.  Step i's budget is minus r_i's Laurent
+    exponent after the earlier steps' bumps, which depends only on a and on
+    the earlier moves, and the exponent it writes at r_i's inverse
+    coordinate is that budget minus the units moved; nothing later touches
+    that coordinate, nor any other source inverse exponent outside the Z_i.
+    The bumps land on the kept atoms' exponents, which no budget reads.
+    So every term, with its moves, is the probe's term translated by K and
+    c, with the binomials of the moves.
+
+    A composite kills what its removed atoms kill: each step maps a monomial
+    with a positive exponent at its removed atom to zero and adds only
+    non-negative bumps to the exponents of the atoms it keeps, so a positive
+    entry of a gives an empty image.  The table is filled on first use of
+    each a: a single cover reads its entry from ``CoverData._expansions``,
+    which is cached per ring; any other chain, the identity (x,) included,
+    runs the probe through ``CoverData.apply_monomial`` step by step.  Both
+    kinds of entry are translated by the same loop as a cover step's.
     """
 
     def __init__(self, ring, chain):
@@ -178,6 +234,9 @@ class CleanMap:
         if not chain:
             raise ValueError("empty chain")
         poset = ring.poset
+        for name in chain:
+            if name not in poset:
+                raise ValueError(f"unknown element {name!r} in chain")
         for u, l in zip(chain, chain[1:]):
             if not poset.is_cover(u, l):
                 raise ValueError(f"chain step {u!r} > {l!r} is not a cover")
@@ -189,27 +248,70 @@ class CleanMap:
         self.source, self.target = chain[0], chain[-1]
         self.source_env = Envelope.of(ring, self.source)
         self.target_env = Envelope.of(ring, self.target)
-        # a chain of k covers removes k atoms; at k > 1 itemgetter gives tuples
-        lpos, _ = self.source_env.active_positions(self.target)
-        self._removed = itemgetter(*lpos) if len(lpos) > 1 else None
+        self._layout = None  # built on the first call, so building a map costs nothing
+
+    def _build_layout(self):
+        """(table, removed, kept, removed targets): the empty table, the
+        pickers of a monomial's removed-atom and kept-atom exponents, as
+        tuples, and the removed atoms' target inverse positions, ascending.
+        Also keeps the removed atoms' Laurent positions and the source
+        inverse position of each target inverse variable, for ``_fill``."""
+        src, tgt = self.source_env, self.target_env
+        lpos, _ = src.active_positions(self.target)
+        self._lpos = lpos
+        self._src_pos = tuple(src._ipos.get(z) for z in tgt.inv_vars)
+        self._layout = (
+            {},
+            _picker(lpos),
+            _picker([i for i in range(src.natoms) if i not in lpos]),
+            sorted(tgt._ipos[src.atoms[i]] for i in lpos),
+        )
+        return self._layout
+
+    def _fill(self, a):
+        """The table entry of the removed-atom exponents a: empty when an
+        entry of a is positive, else a single cover's expansions, or the
+        image of the probe monomial at a, run through every step."""
+        if max(a, default=0) > 0:
+            return ()
+        if len(self.covers) == 1:
+            return self.covers[0]._expansions(-a[0])
+        lau = [0] * self.source_env.natoms
+        for p, e in zip(self._lpos, a):
+            lau[p] = e
+        terms = {(tuple(lau), self.source_env.unit_mon[1]): 1}
+        for cd in self.covers:
+            nxt = {}
+            for (l, i), k in terms.items():
+                for tl, ti, kk in cd.apply_monomial(l, i):
+                    add_term(nxt, (tl, ti), k * kk)
+            terms = nxt
+        src_pos = self._src_pos
+        entry = []
+        for bump, ti in terms:
+            moved = [(src_pos[p], p, v) for p, v in enumerate(ti) if v]
+            entry.append((
+                bump,
+                tuple(m for m in moved if m[0] is not None),
+                tuple((p, v) for j, p, v in moved if j is None),
+            ))
+        return tuple(entry)
 
     def __call__(self, elem):
         if elem.env is not self.source_env:
             raise ValueError("element lives in a different envelope")
+        table, removed, kept, rtgt = self._layout or self._build_layout()
         fld = self.ring.field
-        terms = elem.terms
-        removed = self._removed
-        if removed is not None:
-            terms = {m: c for m, c in terms.items() if max(removed(m[0])) <= 0}
-        for cd in self.covers:
-            nxt = {}
-            for (lau, inv), c in terms.items():
-                for tl, ti, k in cd.apply_monomial(lau, inv):
-                    add_term(nxt, (tl, ti), c if k == 1 else c * fld.from_int(k))
-            terms = nxt
-        if terms is elem.terms:
-            terms = dict(terms)
-        return EnvelopeElement(self.target_env, terms)
+        out = {}
+        for (lau, inv), c in elem.terms.items():
+            a = removed(lau)
+            entry = table.get(a)
+            if entry is None:
+                entry = table[a] = self._fill(a)
+            if entry:
+                for tl, ti, k in _entry_terms(entry, kept(lau), inv, rtgt):
+                    add_term(out, (tl, ti), c if k == 1 else c * fld.from_int(k))
+        return EnvelopeElement(self.target_env, out)
 
     def __repr__(self):
         return f"CleanMap({' > '.join(self.chain)})"

@@ -160,12 +160,33 @@ class Envelope:
 
     def monomial(self, laurent=None, inverse=None, coeff=None):
         c = self.ring.field.one if coeff is None else coeff
-        if not c:
-            return self.zero()
-        return EnvelopeElement(self, {self.monomial_key(laurent, inverse): c})
+        return self.element({self.monomial_key(laurent, inverse): c})
 
     def element(self, terms):
-        return EnvelopeElement(self, {m: c for m, c in terms.items() if c})
+        """The element with these terms, zero coefficients dropped.
+        ``ValueError`` unless each key is a (Laurent, inverse) pair of tuples
+        of ints, natoms and ninv long, with no negative inverse exponent, and
+        each coefficient is a scalar of the ring's field."""
+        is_scalar = self.ring.field.is_scalar
+        out = {}
+        for key, c in terms.items():
+            if not (
+                type(key) is tuple
+                and len(key) == 2
+                and type(key[0]) is tuple
+                and type(key[1]) is tuple
+                and len(key[0]) == self.natoms
+                and len(key[1]) == self.ninv
+            ):
+                raise ValueError(f"{key!r} is not a monomial of the envelope at {self.x!r}")
+            check_integers(key[0] + key[1], "exponents")
+            if key[1] and min(key[1]) < 0:
+                raise ValueError("inverse exponents must be non-negative")
+            if not is_scalar(c):
+                raise ValueError(f"{c!r} is not a scalar of {self.ring.field!r}")
+            if c:
+                out[key] = c
+        return EnvelopeElement(self, out)
 
     def embed_base(self, f):
         """Image of a polynomial supported on the atoms below x."""

@@ -7,6 +7,7 @@ no floating point anywhere, so all downstream linear algebra is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 
 
 class FieldError(ValueError):
@@ -23,6 +24,9 @@ class Rationals:
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
+
+    def is_scalar(self, a) -> bool:
+        return isinstance(a, Fraction)
 
     def ratio(self, n: int, d: int) -> Fraction:
         """n/d for ints n and d != 0, built as one scalar."""
@@ -132,6 +136,9 @@ class PrimeField:
     def from_int(self, n: int) -> FpElement:
         return FpElement(n, self.p)
 
+    def is_scalar(self, a) -> bool:
+        return isinstance(a, FpElement) and a.p == self.p
+
     def ratio(self, n: int, d: int) -> FpElement:
         """n/d for ints n and d not divisible by p, built as one scalar."""
         return FpElement(n * pow(d, -1, self.p), self.p)
@@ -171,7 +178,7 @@ def field_from_name(name: str, prime: int | None = None):
 def check_integers(values, what):
     """values, after ``ValueError`` if an entry is not an int: the one rule
     for degree entries and exponents."""
-    if not all(isinstance(v, int) for v in values):
+    if not all(map(isinstance, values, repeat(int))):
         raise ValueError(f"{what} must be integers, got {values!r}")
     return values
 

@@ -3,6 +3,7 @@ from itertools import combinations, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from facering import (
     CleanMap,
@@ -34,6 +35,7 @@ from helpers import (
     RP2_FACETS,
     active_linearity_counts,
     face_poset,
+    glued_pair,
     make_ring,
     random_envelope_element,
     reference_composite,
@@ -546,20 +548,152 @@ def test_active_linearity_probes_passive_coordinates_at_one():
             assert not rep.passed, (chain, j)
 
 
-@pytest.mark.parametrize("field", (QQ, PrimeField(3)), ids=("Q", "F3"))
-@pytest.mark.parametrize("name", ALL_BUNDLED + ("rp2",))
+def _named_poset(name):
+    if name == "rp2":
+        return face_poset(RP2_FACETS)
+    if name == "glued_pair":
+        return glued_pair("123")
+    return bundled_poset(name)
+
+
+def _maps_with_identities(ring):
+    """Every chain map of ``_chain_maps`` and the identity chain (x,) at
+    each element."""
+    yield from _chain_maps(ring)
+    for x in ring.poset.elements:
+        yield chain_map(ring, (x,))
+
+
+# (Laurent bound, depth) of the box each poset is swept on: bound 3 reaches
+# the tables of budgets 0-3, and solid_triangle's and glued_pair's chains of
+# three covers; the larger posets take bound 1
+_COMPOSITE_BOX = {"tetrahedron_boundary": (1, 2), "rp2": (1, 1)}
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(2), PrimeField(3)), ids=("Q", "F2", "F3"))
+@pytest.mark.parametrize("name", ALL_BUNDLED + ("rp2", "glued_pair"))
 def test_composite_matches_stepwise_reference(name, field):
-    # dropping the monomials the removed atoms kill changes no image
-    poset = face_poset(RP2_FACETS) if name == "rp2" else bundled_poset(name)
-    ring = PolyRing(poset, field)
-    depth = 1 if name == "rp2" else 2
-    for m in _chain_maps(ring):
+    # the one pass from the table gives the image of the step-by-step
+    # expansion, on the full box and on random elements of several terms
+    ring = PolyRing(_named_poset(name), field)
+    lb, depth = _COMPOSITE_BOX.get(name, (3, 2))
+    for m in _maps_with_identities(ring):
         env = m.source_env
-        for mon in env.monomial_box(1, depth):
+        for mon in env.monomial_box(lb, depth):
             e = env.element({mon: field.one})
             assert m(e) == reference_composite(m, e), (m, mon)
-        e = random_envelope_element(env, random.Random(len(m.chain)), terms=4)
-        assert m(e) == reference_composite(m, e), m
+        # the first draw is the helper's default (Laurent range [-2, 2]);
+        # the second reaches the box's bound where that is wider
+        rng = random.Random(len(m.chain))
+        for terms, bound in ((4, 2), (8, max(lb, 2))):
+            e = random_envelope_element(env, rng, terms=terms, laurent_bound=bound)
+            assert m(e) == reference_composite(m, e), m
+
+
+def _cancelling_element(m, mons):
+    """An element of two of the monomials whose images share a term, with
+    coefficients that cancel it, and that term; None if no two share one."""
+    env = m.source_env
+    one = env.ring.field.one
+    seen = {}
+    for mon in mons:
+        for key, c in m(env.element({mon: one})).terms.items():
+            if key in seen:
+                first, c0 = seen[key]
+                return env.element({first: c, mon: -c0}), key
+            seen[key] = (mon, c)
+    return None
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(2), PrimeField(3)), ids=("Q", "F2", "F3"))
+@pytest.mark.parametrize("name", ("p1", "solid_triangle", "double_triangle"))
+def test_composite_images_cancel_across_terms(name, field):
+    # two input monomials meeting at one target term: the pass must add
+    # their contributions there before it drops the zero
+    ring = make_ring(name, field)
+    cancelled = 0
+    for m in _chain_maps(ring):
+        found = _cancelling_element(m, m.source_env.monomial_box(2, 2))
+        if found is None:
+            continue
+        e, key = found
+        img = m(e)
+        assert key not in img.terms, m
+        assert img == reference_composite(m, e), m
+        cancelled += 1
+    assert cancelled
+
+
+def test_cover_image_drops_even_binomials_over_f2():
+    # x > y1 on p1 sends t[y2]^-1 (x) t[x]^-1 to t[y2]^-1 t[x]^-1 plus
+    # C(2, 1) = 2 times t[y1] (x) t[x]^-2, so over F2 one term is left
+    f2 = PrimeField(2)
+    ring = make_ring("p1", f2)
+    env, tgt = Envelope.of(ring, "x"), Envelope.of(ring, "y1")
+    e = env.monomial({"y2": -1}, {"x": 1})
+    for chain in (("x", "y1"), ("x", "y1", "0")):
+        m = chain_map(ring, chain)
+        assert m(e) == reference_composite(m, e)
+        assert len(m(e).terms) == 1
+    assert cover_map(ring, "x", "y1")(e) == tgt.monomial(inverse={"y2": 1, "x": 1})
+
+
+@pytest.mark.parametrize("name", ("p1", "solid_triangle", "tetrahedron_boundary"))
+def test_f2_images_are_rational_images_mod_two(name):
+    # every coefficient is an integer count, so the F2 image is the Q image
+    # reduced mod 2 with its even terms dropped; some are even here
+    f2 = PrimeField(2)
+    ring_q, ring_2 = make_ring(name), make_ring(name, f2)
+    dropped = 0
+    for mq, m2 in zip(_chain_maps(ring_q), _chain_maps(ring_2)):
+        assert mq.chain == m2.chain
+        for mon in mq.source_env.monomial_box(2, 2):
+            img_q = mq(mq.source_env.element({mon: QQ.one}))
+            img_2 = m2(m2.source_env.element({mon: f2.one}))
+            odd = {k: f2.one for k, c in img_q.terms.items() if c.numerator % 2}
+            assert img_2.terms == odd, (mq, mon)
+            dropped += len(img_q.terms) - len(odd)
+    assert dropped
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    facets=st.lists(
+        st.sets(st.sampled_from("123456"), min_size=1, max_size=4),
+        min_size=1,
+        max_size=5,
+    ),
+    field=st.sampled_from((QQ, PrimeField(2))),
+    data=st.data(),
+)
+def test_random_chain_images_match_reference(facets, field, data):
+    # a random saturated chain of a random face poset, on a random element
+    # of its source with Laurent exponents in [-3, 1]; the draws shrink
+    # towards tops and bottoms, so towards long chains
+    ring = PolyRing(face_poset(["".join(sorted(f)) for f in facets]), field)
+    poset = ring.poset
+    by_rank = sorted(poset.elements, key=poset.rank_of)
+    x = data.draw(st.sampled_from(by_rank[::-1]))
+    z = data.draw(st.sampled_from([w for w in by_rank if poset.leq(w, x)]))
+    chain = data.draw(st.sampled_from(poset.saturated_chains(x, z)))
+    m = chain_map(ring, chain)
+    env = m.source_env
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    e = random_envelope_element(env, rng, terms=5, laurent_bound=2, depth_max=4)
+    e = env.act_laurent((-1,) * env.natoms, e)
+    assert m(e) == reference_composite(m, e)
+
+
+def test_chains_with_unknown_elements_raise_value_error():
+    ring = make_ring("tetrahedron_boundary")
+    for call in (
+        lambda: chain_map(ring, ("123", "zz")),
+        lambda: chain_map(ring, ("zz",)),
+        lambda: cover_map(ring, "123", "zz"),
+        lambda: cover_map(ring, "zz", "12"),
+    ):
+        with pytest.raises(ValueError, match="unknown element 'zz'"):
+            call()
 
 
 def test_linearity_of_every_cover_of_bd_simplex5(monkeypatch):

@@ -174,7 +174,7 @@ def test_dd_witness_is_the_least_lift_at_the_least_target(monkeypatch):
     ]
     wit = complexes._witness(env, bad)
     # inverse part first, then Laurent part; targets by name
-    assert wit["monomial"] == env.element_to_json(env.element({((1, 1, 1), flat): 1}))
+    assert wit["monomial"] == env.element_to_json(env.element({((1, 1, 1), flat): ring.field.one}))
     assert wit["target"] == "1"
 
 

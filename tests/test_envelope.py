@@ -821,3 +821,36 @@ def test_elements_are_not_hashable(env_x):
     with pytest.raises(TypeError):
         hash(env_x.unit())
     assert type(env_x.unit() - env_x.unit()) is EnvelopeElement
+
+
+_BAD_ELEMENT_TERMS = {
+    "short Laurent part": lambda f: {((1,), (0, 0, 0, 0)): f.one},
+    "short inverse part": lambda f: {((0, 0, 0), (0,)): f.one},
+    "both parts short": lambda f: {((1,), (0,)): f.one},
+    "plain int, no inverse part": lambda f: {((0, 0, 0), ()): 5},
+    "float exponent": lambda f: {((0.5, 0, 0), (0, 0, 0, 0)): f.one},
+    "float inverse exponent": lambda f: {((0, 0, 0), (1.0, 0, 0, 0)): f.one},
+    "negative inverse exponent": lambda f: {((0, 0, 0), (0, -1, 0, 0)): f.one},
+    "key not a pair": lambda f: {(((0, 0, 0), (0, 0, 0, 0)),): f.one},
+    "plain int coefficient": lambda f: {((0, 0, 0), (0, 0, 0, 0)): 5},
+    "residue of another field": lambda f: {((0, 0, 0), (0, 0, 0, 0)): F3.one},
+}
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(2)), ids=("Q", "F2"))
+@pytest.mark.parametrize("kind", sorted(_BAD_ELEMENT_TERMS))
+def test_element_rejects_malformed_terms(field, kind):
+    # solid_triangle at 123: three atoms, four inverse variables
+    env = Envelope.of(PolyRing(bundled_poset("solid_triangle"), field), "123")
+    assert (env.natoms, env.ninv) == (3, 4)
+    with pytest.raises(ValueError):
+        env.element(_BAD_ELEMENT_TERMS[kind](field))
+
+
+def test_element_keeps_well_formed_terms_and_drops_zeros():
+    env = Envelope.of(PolyRing(bundled_poset("solid_triangle"), F3), "123")
+    mon = ((1, -2, 0), (0, 1, 0, 2))
+    e = env.element({mon: F3.from_int(2), env.unit_mon: F3.zero})
+    assert e.terms == {mon: F3.from_int(2)}
+    with pytest.raises(ValueError, match="scalar of F3"):
+        env.monomial({"1": 1}, coeff=2)
