@@ -78,6 +78,9 @@ class CoverData:
 
     def __init__(self, ring, upper, lower):
         poset = ring.poset
+        for name in (upper, lower):
+            if name not in poset:
+                raise ValueError(f"unknown element {name!r}")
         if not poset.is_cover(upper, lower):
             raise ValueError(f"{upper!r} does not cover {lower!r}")
         self.ring = ring

@@ -279,11 +279,8 @@ def cmd_complex(args):
         print(f"match: {'true' if rep['match'] else 'false'}")
         ok = ok and bool(rep["match"])
     if args.dd:
-        # built first, so its maps hold every envelope the size count uses
+        _warn_if_long("the dd sweep expands", dd_sweep_size(ring, args.box))
         gc = build_gamma(ring)
-        _warn_if_long(
-            "the dd sweep expands", dd_sweep_size(ring, args.box, args.depth)
-        )
         dd = verify_dd_zero(gc, laurent_bound=args.box, depth_bound=args.depth)
         rep["dd"] = dd.to_json()
         ok = _print_status("dd-zero", dd, with_checked=True) and ok

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cleanmap import CertReport, cover_map
-from .envelope import Envelope, degree_vector
+from .envelope import Envelope, _check_bound, degree_vector
 from .linalg import bareiss_rank
 from .scalars import QQ, add_term
 
@@ -41,28 +41,43 @@ def build_gamma(ring) -> EnvelopeComplex:
     return EnvelopeComplex(ring, sc.terms, maps)
 
 
-def dd_sweep_size(ring, laurent_bound, depth_bound):
-    """Number of source monomials ``verify_dd_zero`` expands at these bounds:
-    the active box of every rank-2 interval [w < x], the (laurent_bound +
-    1)**2 exponents of its two removed atoms times its active inverse
-    vectors."""
-    envs = {x: Envelope.of(ring, x) for x in ring.poset.elements}
-    return sum(
-        envs[x].box_size(laurent_bound, depth_bound, w)
-        for w, x, _ in ring.poset.rank2_intervals()
-    )
+def dd_sweep_size(ring, laurent_bound):
+    """Number of source monomials ``verify_dd_zero`` expands at this Laurent
+    bound: the depth-zero active box of every rank-2 interval [w < x], the
+    (laurent_bound + 1)**2 exponents of its two removed atoms.  The depth
+    bound only sizes the box ``checked`` counts (``verify_dd_zero``)."""
+    _check_bound(laurent_bound, "Laurent bound")
+    return (laurent_bound + 1) ** 2 * len(ring.poset.rank2_intervals())
 
 
 def verify_dd_zero(gc: EnvelopeComplex, laurent_bound=3, depth_bound=3) -> CertReport:
     """Check that consecutive signed differentials cancel, reporting
     cancellation per rank-2 interval.
 
-    Each interval [w < x] is swept over the active box of the descent from
-    x to w (``Envelope.monomial_box``, which proves that the monomials it
-    skips leave no leftover and that a pass holds at every value of the
-    passive coordinates).  ``checked`` counts the full box the sweep covers:
-    at each x of rank at least two, the Laurent box [-laurent_bound,
-    laurent_bound] over its atoms times its inverse vectors of bounded depth.
+    Each interval [w < x] is swept over the depth-zero active box of the
+    descent from x to w, ``Envelope.monomial_box(laurent_bound, 0, w)``: the
+    (laurent_bound + 1)**2 exponents of its two removed atoms.  That sweep
+    decides the active box of every depth, and ``monomial_box`` proves that
+    the monomials off the active box leave no leftover and that a pass holds
+    at every value of the passive coordinates.  So the depth bound only
+    sizes the full box ``checked`` counts: at each x of rank at least two,
+    the Laurent box [-laurent_bound, laurent_bound] over its atoms times its
+    inverse vectors of bounded depth.
+
+    Why depth zero decides.  Let an active monomial have removed-atom
+    exponents a and inverse part c.  By the ``CleanMap`` proof, route i (a
+    sign s_i, then the two cover steps) maps it to the sum over the terms t
+    of its table entry E_i(a) of w_t(c) mono_t(c), where w_t(c) = prod
+    C(c_j + d_j, d_j) >= 1 over the moves of t and mono_t(c) is t's monomial
+    translated by c.  Entries of one source and target share their layout,
+    so w_t and mono_t do not depend on the route, and t -> mono_t(c) is
+    injective for fixed c.  So the signed integer leftover is the sum over t
+    of (s_1 [t in E_1(a)] + s_2 [t in E_2(a)]) w_t(c) mono_t(c): it vanishes
+    at c exactly when it vanishes at c = 0, over the integers and so in
+    every field.  ``monomial_box`` puts the inverse part outermost, in
+    lexicographic order, so the zero inverse part comes first: the first
+    failing monomial of the active box at any depth has c = 0, and is the
+    first failing monomial of the depth-zero box.
 
     The witness is the first full-box monomial, in ``monomial_box`` order,
     of the first x with a failing interval, with its leftover at the least
@@ -92,12 +107,8 @@ def verify_dd_zero(gc: EnvelopeComplex, laurent_bound=3, depth_bound=3) -> CertR
             checked += env.box_size(laurent_bound, depth_bound)
             bad = []
             for w, zs in below.get(x, ()):
-                routes = []
-                for z in zs:
-                    (s1, m1), (s2, m2) = gc.maps[(x, z)], gc.maps[(z, w)]
-                    (cd1,), (cd2,) = m1.covers, m2.covers
-                    routes.append((s1 * s2, cd1, cd2))
-                box = env.monomial_box(laurent_bound, depth_bound, w)
+                routes = _routes(gc, w, x, zs)
+                box = env.monomial_box(laurent_bound, 0, w)
                 first = next((mon for mon in box if _leftover(routes, *mon)), None)
                 diamonds[(w, x)] = first is None
                 if first is not None:
@@ -119,6 +130,17 @@ def verify_dd_zero(gc: EnvelopeComplex, laurent_bound=3, depth_bound=3) -> CertR
             }
         },
     )
+
+
+def _routes(gc, w, x, zs):
+    """The signed routes of [w < x] through its middles zs, as (sign, first
+    cover step, second cover step), the layout ``_leftover`` reads."""
+    routes = []
+    for z in zs:
+        (s1, m1), (s2, m2) = gc.maps[(x, z)], gc.maps[(z, w)]
+        (cd1,), (cd2,) = m1.covers, m2.covers
+        routes.append((s1 * s2, cd1, cd2))
+    return routes
 
 
 def _leftover(routes, lau, inv):

@@ -117,6 +117,11 @@ class PolyRing:
         return self.term(self.field.one, exps)
 
     def term(self, coeff, exps):
+        """coeff times the monomial with these exponents by variable name.
+        ``ValueError`` unless coeff is a scalar of the ring's field and each
+        exponent is a non-negative integer of a variable of the ring."""
+        if not self.field.is_scalar(coeff):
+            raise ValueError(f"{coeff!r} is not a scalar of {self.field!r}")
         check_integers(tuple(exps.values()), "exponents")
         vec = [0] * self.nvars
         for name, e in exps.items():

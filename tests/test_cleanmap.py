@@ -691,6 +691,8 @@ def test_chains_with_unknown_elements_raise_value_error():
         lambda: chain_map(ring, ("zz",)),
         lambda: cover_map(ring, "123", "zz"),
         lambda: cover_map(ring, "zz", "12"),
+        lambda: CoverData(ring, "zz", "1"),
+        lambda: CoverData(ring, "12", "zz"),
     ):
         with pytest.raises(ValueError, match="unknown element 'zz'"):
             call()

@@ -258,7 +258,7 @@ def test_dd_sweep_within_bounds_does_not_warn(capsys):
 def test_dd_warning_states_exact_size(monkeypatch, capsys):
     # the threshold is lowered so that a quick sweep crosses it
     ring = PolyRing(bundled_poset("tetrahedron_boundary"))
-    size = dd_sweep_size(ring, 1, 1)
+    size = dd_sweep_size(ring, 1)
     argv = ["complex", "--poset", "tetrahedron_boundary", "--dd", "--box", "1", "--depth", "1"]
     monkeypatch.setattr(cli, "_WARN_SIZE", size - 1)
     assert main(argv) == 0

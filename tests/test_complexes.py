@@ -1,5 +1,6 @@
 import random
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -264,26 +265,76 @@ def test_leftover_translates_with_passive_coordinates(name):
                 assert near, (w, x)
 
 
-def test_dd_sweep_size_counts_active_boxes():
-    # active inverse vectors: zero on the passive elements (below w, or not
-    # below x); two active atoms per interval, each in [-lb, 0]
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_dd_leftover_at_an_inverse_part_reweights_the_depth_zero_leftover(name):
+    # the lemma of verify_dd_zero, with and without a flipped route: at an
+    # active inverse part c, the leftover is the one at c = 0 with c added
+    # to each term's inverse part and each coefficient times the product of
+    # C(c_j + d_j, d_j), d_j the term's exponent at c = 0 at j's position
+    ring = make_ring(name)
+    poset = ring.poset
+    gc = build_gamma(ring)
+    for w, x, zs in poset.rank2_intervals():
+        env, tgt = Envelope.of(ring, x), Envelope.of(ring, w)
+        to_tgt = [tgt.inv_vars.index(y) for y in env.inv_vars]
+        for cover in (None, (x, zs[0])):
+            routes = complexes._routes(_flipped(gc, cover), w, x, zs)
+            flat = {}
+            for lau, inv in env.monomial_box(2, 2, w):
+                if not any(inv):
+                    flat[lau] = complexes._leftover(routes, lau, inv)
+                    continue
+                want = {}
+                for (tl, ti), k in flat[lau].items():
+                    shifted = list(ti)
+                    for j, c in enumerate(inv):
+                        d = ti[to_tgt[j]]
+                        shifted[to_tgt[j]] += c
+                        k *= comb(c + d, d)
+                    want[(tl, tuple(shifted))] = k
+                got = complexes._leftover(routes, lau, inv)
+                assert len(got) == len(flat[lau]), (w, x, cover, lau, inv)
+                assert got == want, (w, x, cover, lau, inv)
+            assert any(flat.values()) == (cover is not None), (w, x, cover)
+
+
+@pytest.mark.parametrize("name", ("tetrahedron_boundary", "double_triangle"))
+def test_dd_zero_matches_full_box_reference_at_depth_three(name):
+    gc = build_gamma(make_ring(name))
+    memo = {}
+    for cover in (None, *sorted(gc.maps)):
+        flipped = _flipped(gc, cover)
+        rep = verify_dd_zero(flipped, laurent_bound=1, depth_bound=3)
+        passed, checked, witness, failing = reference_dd_sweep(flipped, 1, 3, memo)
+        assert (rep.passed, rep.checked, rep.witness) == (passed, checked, witness)
+        assert _false_diamonds(rep) == {f"[{w} < {x}]" for w, x in failing}
+
+
+def test_dd_sweep_size_counts_active_boxes(monkeypatch):
+    # the sweep expands the depth-zero active box of each rank-2 interval:
+    # its two removed atoms, each in [-lb, 0]; the depth bound adds nothing
+    expanded = []
+    leftover = complexes._leftover
+    monkeypatch.setattr(
+        complexes,
+        "_leftover",
+        lambda routes, lau, inv: expanded.append(inv) or leftover(routes, lau, inv),
+    )
     for name in ALL_BUNDLED:
         ring = make_ring(name)
         poset = ring.poset
+        gc = build_gamma(ring)
+        intervals = poset.rank2_intervals()
+        for w, x, _ in intervals:
+            removed = [a for a in poset.atoms_below(x) if not poset.leq(a, w)]
+            assert len(removed) == 2, (name, w, x)
         for lb, db in ((1, 0), (2, 2), (3, 4)):
-            want = 0
-            for w, x, _ in poset.rank2_intervals():
-                env = Envelope.of(ring, x)
-                passive = [
-                    j
-                    for j, y in enumerate(env.inv_vars)
-                    if poset.leq(y, w) or not poset.leq(y, x)
-                ]
-                invs = [
-                    v for v in env._inverse_vectors(db) if not any(v[j] for j in passive)
-                ]
-                want += (lb + 1) ** 2 * len(invs)
-            assert dd_sweep_size(ring, lb, db) == want, (name, lb, db)
+            want = (lb + 1) ** 2 * len(intervals)
+            expanded.clear()
+            assert verify_dd_zero(gc, laurent_bound=lb, depth_bound=db).passed
+            assert len(expanded) == want, (name, lb, db)
+            assert not any(any(inv) for inv in expanded), (name, lb, db)
+            assert dd_sweep_size(ring, lb) == want, (name, lb, db)
 
 
 def test_gamma_matches_scalar_signs():

@@ -47,6 +47,23 @@ def test_non_integer_exponents_are_rejected(ring_p1, e):
     assert ring_p1.monomial({"x": 2}) == ring_p1.variable("x") * ring_p1.variable("x")
 
 
+@pytest.mark.parametrize(
+    "field, coeff",
+    [(PrimeField(2), 5), (PrimeField(2), PrimeField(3).from_int(2)),
+     (QQ, 5), (QQ, PrimeField(2).one)],
+    ids=("F2-int", "F2-F3", "Q-int", "Q-F2"),
+)
+def test_term_rejects_a_coefficient_outside_the_field(field, coeff):
+    # over F2 a stored int 5 failed to print, and an F3 residue 2 added to
+    # the F2 monomial t[1] gave zero
+    ring = PolyRing(bundled_poset("solid_triangle"), field)
+    with pytest.raises(ValueError, match=f"scalar of {field!r}"):
+        ring.term(coeff, {"1": 1})
+    assert ring.term(field.from_int(3), {"1": 1}) == ring.monomial({"1": 1}).scale(
+        field.from_int(3)
+    )
+
+
 def test_atom_degree_is_coordinate_vector():
     for name in ("hollow_triangle", "tetrahedron_boundary"):
         ring = make_ring(name)
