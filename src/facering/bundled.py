@@ -28,7 +28,7 @@ BUNDLED = (
 
 def bundled_poset_text(name: str) -> str:
     if name not in BUNDLED:
-        raise KeyError(f"no bundled poset named {name!r}")
+        raise ValueError(f"no bundled poset named {name!r}")
     return (
         resources.files("facering").joinpath(f"data/{name}.json").read_text("utf-8")
     )

@@ -180,15 +180,12 @@ def cmd_envelope(args):
     deg = _parse_vector(args.deg, ring.natoms, "degree")
     if any(v < 0 for v in deg):
         raise FieldError("degree entries must be non-negative")
-    if args.x and args.x not in poset:
-        raise PosetError(f"unknown element {args.x!r}")
-    targets = [args.x] if args.x else list(poset.elements)
+    envs = {x: Envelope.of(ring, x) for x in ([args.x] if args.x else poset.elements)}
     print(f"annihilator dimensions at deg={list(deg)}, depth <= {args.depth}:")
     dims = {}
     expected = {}
     ok = True
-    for x in targets:
-        env = Envelope.of(ring, x)
+    for x, env in envs.items():
         basis = env.annihilator_basis(deg, args.depth)
         dims[x] = len(basis)
         supp = {poset.atoms[g] for g, v in enumerate(deg) if v > 0}
@@ -373,13 +370,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except _InvalidPoset:
         return EXIT_INVALID
-    except (PosetError, FieldError, FileNotFoundError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except StabilizationError as exc:
         print(f"property failure: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -72,9 +72,11 @@ def verify_dd_zero(gc: EnvelopeComplex, laurent_bound=3, depth_bound=3) -> CertR
     translated by c.  Entries of one source and target share their layout,
     so w_t and mono_t do not depend on the route, and t -> mono_t(c) is
     injective for fixed c.  So the signed integer leftover is the sum over t
-    of (s_1 [t in E_1(a)] + s_2 [t in E_2(a)]) w_t(c) mono_t(c): it vanishes
-    at c exactly when it vanishes at c = 0, over the integers and so in
-    every field.  ``monomial_box`` puts the inverse part outermost, in
+    of n_t w_t(c) mono_t(c), with n_t = s_1 [t in E_1(a)] + s_2 [t in
+    E_2(a)], and it is decided modulo the field's characteristic p (0 for
+    Q).  As w_t(0) = 1, it vanishes at c = 0 exactly when p divides every
+    n_t, and then p divides every n_t w_t(c): a failure at c is a failure
+    at c = 0.  ``monomial_box`` puts the inverse part outermost, in
     lexicographic order, so the zero inverse part comes first: the first
     failing monomial of the active box at any depth has c = 0, and is the
     first failing monomial of the depth-zero box.
@@ -87,12 +89,9 @@ def verify_dd_zero(gc: EnvelopeComplex, laurent_bound=3, depth_bound=3) -> CertR
     exponents zero.  So each interval's first failing active monomial,
     lifted that way, is its first failing full-box monomial (the skipped
     monomials do not fail), and the witness is the least lift.
-
-    Coefficients stay in exact integers: the expansion coefficients are
-    binomial counts and the signs are units, so vanishing over the integers
-    implies vanishing in any coefficient field.
     """
     ring = gc.ring
+    p = ring.field.char
     below = {}
     for w, x, zs in ring.poset.rank2_intervals():
         below.setdefault(x, []).append((w, zs))
@@ -109,7 +108,7 @@ def verify_dd_zero(gc: EnvelopeComplex, laurent_bound=3, depth_bound=3) -> CertR
             for w, zs in below.get(x, ()):
                 routes = _routes(gc, w, x, zs)
                 box = env.monomial_box(laurent_bound, 0, w)
-                first = next((mon for mon in box if _leftover(routes, *mon)), None)
+                first = next((m for m in box if _fails(_leftover(routes, *m), p)), None)
                 diamonds[(w, x)] = first is None
                 if first is not None:
                     lpos, _ = env.active_positions(w)
@@ -153,6 +152,11 @@ def _leftover(routes, lau, inv):
     return acc
 
 
+def _fails(acc, p):
+    """Whether the integer leftover acc is nonzero in characteristic p."""
+    return any(v % p if p else v for v in acc.values())
+
+
 def _witness(env, bad):
     """Witness at env.x from its failing intervals, listed as (w, routes,
     first failing full-box monomial): the least of those monomials, and its
@@ -161,7 +165,7 @@ def _witness(env, bad):
     lau, inv = min((mon for _, _, mon in bad), key=lambda m: (m[1], m[0]))
     for w, routes, _ in sorted(bad, key=lambda b: b[0]):
         acc = _leftover(routes, lau, inv)
-        if acc:
+        if _fails(acc, ring.field.char):
             tgt = Envelope.of(ring, w)
             return {
                 "source": env.x,

@@ -29,8 +29,7 @@ from .scalars import Combination, add_term, check_integers
 
 
 def _check_bound(value, what):
-    if not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+    check_integers((value,), what)
     if value < 0:
         raise ValueError(f"{what} must be non-negative, got {value}")
 
@@ -98,8 +97,6 @@ class Envelope:
 
     def __init__(self, ring, x):
         poset = ring.poset
-        if x not in poset:
-            raise ValueError(f"unknown element {x!r}")
         self.ring = ring
         self.x = x
         self.atoms = poset.atoms_below(x)

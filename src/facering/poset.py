@@ -36,6 +36,18 @@ class ValidationReport:
         }
 
 
+class _Index(dict):
+    """Position of each name; a miss raises ``ValueError`` naming the key, the
+    one check that a name is an element, variable or atom of its owner."""
+
+    def __init__(self, unknown, names):
+        super().__init__((x, i) for i, x in enumerate(names))
+        self._unknown = unknown
+
+    def __missing__(self, key):
+        raise ValueError(f"{self._unknown} {key!r}")
+
+
 class SimplicialPoset:
     def __init__(self, names, covers):
         names = [str(x) for x in names]
@@ -44,7 +56,7 @@ class SimplicialPoset:
         if len(names) != len(set(names)):
             raise PosetError("malformed poset: duplicate element names")
         self.names = tuple(names)
-        self._idx = {x: i for i, x in enumerate(self.names)}
+        self._idx = _Index("unknown element", self.names)
         n = len(names)
 
         lower = [[] for _ in range(n)]

@@ -19,6 +19,7 @@ import weakref
 from itertools import groupby
 from operator import itemgetter
 
+from .poset import _Index
 from .scalars import QQ, Combination, add_term, check_integers
 
 
@@ -75,9 +76,9 @@ class PolyRing:
         self.field = field
         self.variables = poset.proper_elements
         self.nvars = len(self.variables)
-        self._vidx = {x: k for k, x in enumerate(self.variables)}
+        self._vidx = _Index("unknown variable", self.variables)
         self.natoms = len(poset.atoms)
-        self._aidx = {a: g for g, a in enumerate(poset.atoms)}
+        self._aidx = _Index("unknown atom", poset.atoms)
         self._vdeg = tuple(
             tuple(1 if a in poset.atom_set(x) else 0 for a in poset.atoms)
             for x in self.variables
@@ -125,8 +126,6 @@ class PolyRing:
         check_integers(tuple(exps.values()), "exponents")
         vec = [0] * self.nvars
         for name, e in exps.items():
-            if name not in self._vidx:
-                raise ValueError(f"unknown variable {name!r}")
             if e < 0:
                 raise ValueError("negative exponent")
             vec[self._vidx[name]] += e
@@ -143,8 +142,6 @@ class PolyRing:
         """Degree vector of one variable: the indicator of its atoms."""
         if name == self.poset.bottom:
             raise ValueError("the bottom element carries no variable")
-        if name not in self._vidx:
-            raise ValueError(f"unknown variable {name!r}")
         return self._vdeg[self._vidx[name]]
 
     def monomial_degree(self, mon):
@@ -224,8 +221,7 @@ class PolyRing:
         """Generators of the graded prime attached to x: the variables not
         under x, plus the defining relations with those variables killed,
         each distinct one once, in first-seen order."""
-        if x not in self.poset:
-            raise ValueError(f"unknown element {x!r}")
+        self.poset.rank_of(x)  # ValueError on an unknown x, even with no variables
         killed = tuple(
             k for k, z in enumerate(self.variables) if not self.poset.leq(z, x)
         )
@@ -244,6 +240,7 @@ class PolyRing:
         under x go to zero, the rest to the product of their atoms."""
         self._check(f)
         poset = self.poset
+        poset.rank_of(x)  # ValueError on an unknown x, even for a constant f
         out = {}
         for mon, c in f.terms.items():
             vec = [0] * self.nvars
@@ -261,8 +258,6 @@ class PolyRing:
 
     def tilde_of(self, x, z):
         """Straightened variable relative to the ambient element x."""
-        if z not in self._vidx:
-            raise ValueError(f"unknown variable {z!r}")
         t = self.variable(z)
         if self.poset.leq(z, x) and self.poset.rank_of(z) >= 2:
             return t - self.monomial({a: 1 for a in self.poset.atoms_below(z)})
@@ -413,10 +408,7 @@ class PolyRing:
                     raise ValueError(f"empty factor in {text!r}")
                 m = _FACTOR_RE.fullmatch(factor)
                 if m:
-                    name = m.group(1)
-                    if name not in self._vidx:
-                        raise ValueError(f"unknown variable {name!r}")
-                    vec[self._vidx[name]] += int(m.group(2) or 1)
+                    vec[self._vidx[m.group(1)]] += int(m.group(2) or 1)
                 else:
                     coeff = coeff * self.field.parse(factor)
             if sign < 0:

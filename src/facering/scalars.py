@@ -7,7 +7,6 @@ no floating point anywhere, so all downstream linear algebra is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
 
 
 class FieldError(ValueError):
@@ -175,10 +174,13 @@ def field_from_name(name: str, prime: int | None = None):
     raise FieldError(f"unknown field {name!r}")
 
 
+_INT = frozenset((int,))
+
+
 def check_integers(values, what):
-    """values, after ``ValueError`` if an entry is not an int: the one rule
-    for degree entries and exponents."""
-    if not all(map(isinstance, values, repeat(int))):
+    """values, after ``ValueError`` if an entry's type is not int, a bool's
+    included: the one rule for degree entries, exponents and bounds."""
+    if not _INT.issuperset(map(type, values)):
         raise ValueError(f"{what} must be integers, got {values!r}")
     return values
 

@@ -194,6 +194,7 @@ def reference_dd_sweep(gc, laurent_bound, depth_bound, memo=None):
     cancel (same layout as ``verify_dd_zero``) and the set of failing
     rank-2 intervals (w, x).  Route images do not depend on the signs, so a
     caller sweeping several sign choices of one complex may share ``memo``.
+    Signs and sums are taken in the ring's field.
     """
     ring = gc.ring
     poset = ring.poset
@@ -221,7 +222,7 @@ def reference_dd_sweep(gc, laurent_bound, depth_bound, memo=None):
                             img = memo[key] = m2(m1(e)).terms
                         acc = sums.setdefault(w, {})
                         for t, c in img.items():
-                            add_term(acc, t, c * (s1 * s2))
+                            add_term(acc, t, c * field.from_int(s1 * s2))
                 bad = sorted(w for w, acc in sums.items() if acc)
                 failing.update((w, x) for w in bad)
                 if bad and witness is None:

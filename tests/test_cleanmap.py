@@ -698,6 +698,42 @@ def test_chains_with_unknown_elements_raise_value_error():
             call()
 
 
+# every public call that takes an element or atom name, with the name "zz",
+# which tetrahedron_boundary lacks; each lookup goes through the poset's or
+# the ring's name table, so none leaks a bare KeyError
+UNKNOWN_NAME_CALLS = {
+    "leq": lambda r: r.poset.leq("zz", "1"),
+    "rank_of": lambda r: r.poset.rank_of("zz"),
+    "lower_covers": lambda r: r.poset.lower_covers("zz"),
+    "is_cover": lambda r: r.poset.is_cover("zz", "1"),
+    "atoms_below": lambda r: r.poset.atoms_below("zz"),
+    "atom_set": lambda r: r.poset.atom_set("zz"),
+    "join_set": lambda r: r.poset.join_set(["1", "zz"]),
+    "meet": lambda r: r.poset.meet("1", "zz"),
+    "removed_atom": lambda r: r.poset.removed_atom("zz", "1"),
+    "incidence_sign": lambda r: r.poset.incidence_sign("zz", "1"),
+    "saturated_chains": lambda r: r.poset.saturated_chains("zz", "1"),
+    "tilde_of": lambda r: r.tilde_of("zz", "1"),
+    "f_U": lambda r: r.f_U("zz", ["1", "2"]),
+    "face_projection_constant": lambda r: r.face_projection("zz", r.one()),
+    "face_projection": lambda r: r.face_projection("zz", r.variable("12")),
+    "atom_index": lambda r: r.atom_index("zz"),
+    "active_positions": lambda r: Envelope.of(r, "123").active_positions("zz"),
+    "monomial_box": lambda r: Envelope.of(r, "123").monomial_box(1, 0, "zz"),
+    "box_size": lambda r: Envelope.of(r, "123").box_size(1, 0, "zz"),
+    "rank1_map": lambda r: rank1_map(r, "zz"),
+    "nonclean_automorphism": lambda r: nonclean_automorphism(r, "zz", r.field.one),
+    "bundled_poset": lambda r: bundled_poset("zz"),
+}
+
+
+@pytest.mark.parametrize("call", UNKNOWN_NAME_CALLS.values(), ids=UNKNOWN_NAME_CALLS)
+def test_unknown_names_raise_value_error(call):
+    ring = make_ring("tetrahedron_boundary")
+    with pytest.raises(ValueError, match="^(unknown element|unknown atom|no bundled poset named) 'zz'$"):
+        call(ring)
+
+
 def test_linearity_of_every_cover_of_bd_simplex5(monkeypatch):
     # the active sweep makes 1 + (number of variables) map calls per active
     # monomial and 2 per lifted one: 137,124 calls here, against 17.8 M for

@@ -195,6 +195,43 @@ def test_flipped_cover_fails_exactly_its_diamonds(name):
         assert rep.passed == (not want)
 
 
+@pytest.mark.parametrize("name", ("solid_triangle", "tetrahedron_boundary", "double_triangle"))
+def test_dd_zero_over_prime_fields_matches_full_box_reference(name):
+    # each leftover is decided modulo the characteristic: over F2 a flipped
+    # sign is no flip, so every report is the unflipped one
+    for field in (PrimeField(2), PrimeField(3)):
+        gc = build_gamma(make_ring(name, field))
+        plain = verify_dd_zero(gc, laurent_bound=1, depth_bound=1).to_json()
+        memo = {}
+        for cover in sorted(gc.maps):
+            flipped = _flipped(gc, cover)
+            rep = verify_dd_zero(flipped, laurent_bound=1, depth_bound=1)
+            passed, checked, witness, failing = reference_dd_sweep(flipped, 1, 1, memo)
+            assert (rep.passed, rep.checked, rep.witness) == (passed, checked, witness)
+            assert _false_diamonds(rep) == {f"[{w} < {x}]" for w, x in failing}
+            assert (rep.to_json() == plain) == (field.char == 2), (field, cover)
+
+
+@pytest.mark.parametrize("name", ("solid_triangle", "tetrahedron_boundary"))
+def test_flipped_sign_leaves_twice_the_route_over_q_and_f3(name):
+    # the two routes of the failing interval add up instead of cancelling:
+    # every leftover coefficient is 2, over Q and over F3
+    for field in (QQ, PrimeField(3)):
+        gc = build_gamma(make_ring(name, field))
+        rep = verify_dd_zero(_flipped(gc, sorted(gc.maps)[0]), laurent_bound=1, depth_bound=1)
+        terms = rep.witness["leftover"]["terms"]
+        assert not rep.passed and terms, field
+        assert {t["coeff"] for t in terms} == {"2"}, field
+
+
+def test_dd_bounds_reject_bool(ring_p1):
+    # a bool is an int subclass; it would be certified as the bound true
+    gc = build_gamma(ring_p1)
+    for bounds in ((True, 1), (1, True)):
+        with pytest.raises(ValueError, match=r"must be integers, got \(True,\)"):
+            verify_dd_zero(gc, *bounds)
+
+
 def _diamond_leftover(gc, w, x, elem):
     """Signed sum of the two routes of [w < x] through the public maps."""
     ring = gc.ring

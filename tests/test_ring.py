@@ -535,3 +535,14 @@ def test_act_polynomial_refuses_an_envelope_element(ring_p1):
     env = Envelope.of(ring_p1, "x")
     with pytest.raises(ValueError, match="not a polynomial of this ring"):
         env.act_polynomial(env.unit(), env.unit())
+
+
+def test_unknown_element_raises_on_a_ring_with_no_variables():
+    # with no variable to compare, only the lookup of x itself can fail
+    ring = PolyRing(SimplicialPoset(["pt"], []))
+    for call in (
+        lambda: ring.prime_generators("zz"),
+        lambda: ring.face_projection("zz", ring.one()),
+    ):
+        with pytest.raises(ValueError, match="unknown element 'zz'"):
+            call()

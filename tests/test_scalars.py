@@ -8,6 +8,7 @@ from facering.scalars import (
     FieldError,
     PrimeField,
     add_term,
+    check_integers,
     field_from_name,
 )
 
@@ -123,3 +124,15 @@ def test_add_term_first_insertion_order():
         add_term(terms, key, c)
     assert list(terms) == ["z", "a", "m"]
     assert terms == {"z": 6, "a": 3, "m": 1}
+
+
+@pytest.mark.parametrize("values", [(True,), (1, False), (1, 2.0), (Fraction(1),)])
+def test_check_integers_rejects_every_non_int(values):
+    # a bool is an int subclass, and would be certified as true or false
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        check_integers(values, "exponents")
+
+
+def test_check_integers_returns_ints_unchanged():
+    assert check_integers((), "exponents") == ()
+    assert check_integers((0, -3, 2**70), "exponents") == (0, -3, 2**70)

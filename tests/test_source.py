@@ -197,3 +197,21 @@ def test_oracle_references_nothing_from_linalg():
             node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)
         }
         assert used.isdisjoint(from_linalg | {"linalg"}), name
+
+
+def test_only_the_name_tables_build_unknown_name_messages():
+    # the poset's and the ring's name tables raise on a name they lack, so
+    # an "unknown element" or "unknown variable" message built anywhere else
+    # is a second owner of that rule; f-string parts are constants too
+    phrases = ("unknown element", "unknown variable")
+    found = {}
+    for path in sorted(Path(facering.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for phrase in phrases:
+                    if phrase in node.value:
+                        found.setdefault(path.name, set()).add(phrase)
+    assert found.pop("poset.py", None), "poset.py no longer names an unknown element"
+    assert found.pop("ring.py", None), "ring.py no longer names an unknown variable"
+    assert found == {}
