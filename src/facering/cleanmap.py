@@ -291,12 +291,11 @@ class CleanMap:
         return tuple(entry)
 
     def __call__(self, elem):
-        if elem.env is not self.source_env:
-            raise ValueError("element lives in a different envelope")
+        terms = self.source_env._terms(elem)
         table, removed, kept, rtgt = self._layout or self._build_layout()
         fld = self.ring.field
         out = {}
-        for (lau, inv), c in elem.terms.items():
+        for (lau, inv), c in terms.items():
             a = removed(lau)
             entry = table.get(a)
             if entry is None:
@@ -336,8 +335,7 @@ class GradedEndomap:
         self.label = label
 
     def __call__(self, elem):
-        if elem.env is not self.env:
-            raise ValueError("element lives in a different envelope")
+        self.env._terms(elem)
         return self._fn(elem)
 
     def __repr__(self):
@@ -375,6 +373,7 @@ def nonclean_automorphism(ring, x, lam):
     if ring.poset.rank_of(x) < 2:
         raise ValueError("need an element of rank at least 2")
     env = Envelope.of(ring, x)
+    env.unit().scale(lam)  # scale checks lam: fail here, not at the first call
     shift = (-1,) * env.natoms
 
     def fn(elem):

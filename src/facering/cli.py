@@ -37,7 +37,7 @@ from .complexes import (
 from .envelope import Envelope
 from .poset import PosetError, validate_simplicial
 from .ring import PolyRing
-from .scalars import FieldError, field_from_name
+from .scalars import FieldError, check_non_negative, field_from_name
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -178,8 +178,7 @@ def cmd_ring(args):
 def cmd_envelope(args):
     poset, ring = _load(args)
     deg = _parse_vector(args.deg, ring.natoms, "degree")
-    if any(v < 0 for v in deg):
-        raise FieldError("degree entries must be non-negative")
+    check_non_negative(deg, "degree entries")
     envs = {x: Envelope.of(ring, x) for x in ([args.x] if args.x else poset.elements)}
     print(f"annihilator dimensions at deg={list(deg)}, depth <= {args.depth}:")
     dims = {}

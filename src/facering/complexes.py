@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cleanmap import CertReport, cover_map
-from .envelope import Envelope, _check_bound, degree_vector
+from .envelope import Envelope, degree_vector
 from .linalg import bareiss_rank
-from .scalars import QQ, add_term
+from .scalars import QQ, add_term, check_integers, check_non_negative
 
 
 @dataclass
@@ -46,7 +46,7 @@ def dd_sweep_size(ring, laurent_bound):
     bound: the depth-zero active box of every rank-2 interval [w < x], the
     (laurent_bound + 1)**2 exponents of its two removed atoms.  The depth
     bound only sizes the box ``checked`` counts (``verify_dd_zero``)."""
-    _check_bound(laurent_bound, "Laurent bound")
+    check_non_negative((laurent_bound,), "Laurent bound")
     return (laurent_bound + 1) ** 2 * len(ring.poset.rank2_intervals())
 
 
@@ -202,6 +202,10 @@ def build_scalar_complex(poset, field=QQ) -> ScalarComplex:
 
 
 def _slice_members(sc: ScalarComplex, a, i):
+    """The rank-i elements of the degree-a slice: those whose atoms include
+    every atom where a is positive; none when a has a negative entry."""
+    if a and min(a) < 0:
+        return []
     poset = sc.poset
     supp = {poset.atoms[g] for g, v in enumerate(a) if v > 0}
     return [x for x in sc.terms.get(i, ()) if supp <= poset.atom_set(x)]
@@ -222,7 +226,9 @@ def _integer_slice(sc: ScalarComplex, rows, cols):
 
 def differential_matrix(sc: ScalarComplex, a, i):
     """Degree-a slice of the map from rank i to rank i-1 over the complex's
-    field, with its row and column labels."""
+    field, with its row and column labels.  ``ValueError`` unless a is a
+    vector of ints, one per atom."""
+    a = check_integers(degree_vector(a, len(sc.poset.atoms)), "degree entries")
     cols = _slice_members(sc, a, i)
     rows = _slice_members(sc, a, i - 1)
     fld = sc.field
@@ -233,10 +239,8 @@ def differential_matrix(sc: ScalarComplex, a, i):
 def cohomology_dims_at(sc: ScalarComplex, a):
     """Exact kernel-modulo-image dimensions of the degree-a slice, keyed by
     cohomological index (rank i contributes at index -i)."""
-    a = degree_vector(a, len(sc.poset.atoms))
+    a = check_integers(degree_vector(a, len(sc.poset.atoms)), "degree entries")
     d = sc.poset.max_rank
-    if any(v < 0 for v in a):
-        return {-i: 0 for i in range(d + 1)}
     members = [_slice_members(sc, a, i) for i in range(d + 1)]
     ranks = {}
     for i in range(1, d + 1):
@@ -262,7 +266,7 @@ def simplicial_oracle(poset, a, field=QQ):
     if not poset.is_face_poset_of_complex():
         raise ValueError("poset is not the face poset of a simplicial complex")
     atoms = poset.atoms
-    a = degree_vector(a, len(atoms))
+    a = check_integers(degree_vector(a, len(atoms)), "degree entries")
     maxr = poset.max_rank
     dims = {-i: 0 for i in range(maxr + 1)}
     if any(v < 0 for v in a):

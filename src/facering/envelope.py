@@ -25,19 +25,14 @@ from itertools import combinations, product
 from operator import add, sub
 
 from .linalg import kernel_basis
-from .scalars import Combination, add_term, check_integers
-
-
-def _check_bound(value, what):
-    check_integers((value,), what)
-    if value < 0:
-        raise ValueError(f"{what} must be non-negative, got {value}")
+from .poset import _Index
+from .scalars import Combination, add_term, check_integers, check_non_negative
 
 
 def bounded_vectors(weights, budget):
     """Every non-negative integer vector v with sum(v[i] * weights[i]) at
     most budget, in lexicographic order.  Weights are positive integers."""
-    _check_bound(budget, "bound")
+    check_non_negative((budget,), "bound")
     vecs = [((), budget)]
     for w in weights:
         vecs = [(v + (e,), r - e * w) for v, r in vecs for e in range(r // w + 1)]
@@ -46,7 +41,7 @@ def bounded_vectors(weights, budget):
 
 def count_bounded_vectors(weights, budget):
     """``len(bounded_vectors(weights, budget))``, without enumerating."""
-    _check_bound(budget, "bound")
+    check_non_negative((budget,), "bound")
     ways = [1] + [0] * budget  # ways[s]: vectors of weighted sum exactly s
     for w in weights:
         for s in range(w, budget + 1):
@@ -64,12 +59,13 @@ def _spread(n, positions, vectors):
 
 
 def degree_vector(a, natoms):
-    """a as a tuple of natoms ints; ``ValueError`` on any other length or
-    on an entry that is not an int."""
+    """a as a tuple of natoms entries; ``ValueError`` on any other length.
+    Each caller checks the entries once, with ``check_integers`` or
+    ``check_non_negative``."""
     a = tuple(a)
     if len(a) != natoms:
         raise ValueError("degree vector has the wrong length")
-    return check_integers(a, "degree entries")
+    return a
 
 
 class EnvelopeElement(Combination):
@@ -98,14 +94,15 @@ class Envelope:
     def __init__(self, ring, x):
         poset = ring.poset
         self.ring = ring
+        self.field = ring.field
         self.x = x
         self.atoms = poset.atoms_below(x)
         self.natoms = len(self.atoms)
         aset = set(self.atoms)
         self.inv_vars = tuple(z for z in ring.variables if z not in aset)
         self.ninv = len(self.inv_vars)
-        self._apos = {a: i for i, a in enumerate(self.atoms)}
-        self._ipos = {z: j for j, z in enumerate(self.inv_vars)}
+        self._apos = _Index(f"no atom below {x!r} named", self.atoms)
+        self._ipos = _Index(f"no inverse variable at {x!r} named", self.inv_vars)
         self._acoord = tuple(ring.atom_index(a) for a in self.atoms)
         self._free = tuple(g for g in range(ring.natoms) if g not in self._acoord)
         self._ideg = tuple(ring.variable_degree(z) for z in self.inv_vars)
@@ -137,26 +134,22 @@ class Envelope:
         return EnvelopeElement(self, {})
 
     def unit(self):
-        return EnvelopeElement(self, {self.unit_mon: self.ring.field.one})
+        return EnvelopeElement(self, {self.unit_mon: self.field.one})
 
     def monomial_key(self, laurent=None, inverse=None):
-        check_integers((*(laurent or {}).values(), *(inverse or {}).values()), "exponents")
+        laurent, inverse = laurent or {}, inverse or {}
+        check_integers(tuple(laurent.values()), "exponents")
+        check_non_negative(tuple(inverse.values()), "inverse exponents")
         lau = [0] * self.natoms
-        for name, e in (laurent or {}).items():
-            if name not in self._apos:
-                raise ValueError(f"{name!r} is not an atom below {self.x!r}")
+        for name, e in laurent.items():
             lau[self._apos[name]] = e
         inv = [0] * self.ninv
-        for name, e in (inverse or {}).items():
-            if name not in self._ipos:
-                raise ValueError(f"{name!r} is not an inverse variable at {self.x!r}")
-            if e < 0:
-                raise ValueError("inverse exponents must be non-negative")
+        for name, e in inverse.items():
             inv[self._ipos[name]] = e
         return (tuple(lau), tuple(inv))
 
     def monomial(self, laurent=None, inverse=None, coeff=None):
-        c = self.ring.field.one if coeff is None else coeff
+        c = self.field.one if coeff is None else coeff
         return self.element({self.monomial_key(laurent, inverse): c})
 
     def element(self, terms):
@@ -164,7 +157,7 @@ class Envelope:
         ``ValueError`` unless each key is a (Laurent, inverse) pair of tuples
         of ints, natoms and ninv long, with no negative inverse exponent, and
         each coefficient is a scalar of the ring's field."""
-        is_scalar = self.ring.field.is_scalar
+        is_scalar = self.field.is_scalar
         out = {}
         for key, c in terms.items():
             if not (
@@ -176,11 +169,10 @@ class Envelope:
                 and len(key[1]) == self.ninv
             ):
                 raise ValueError(f"{key!r} is not a monomial of the envelope at {self.x!r}")
-            check_integers(key[0] + key[1], "exponents")
-            if key[1] and min(key[1]) < 0:
-                raise ValueError("inverse exponents must be non-negative")
+            check_integers(key[0], "exponents")
+            check_non_negative(key[1], "inverse exponents")
             if not is_scalar(c):
-                raise ValueError(f"{c!r} is not a scalar of {self.ring.field!r}")
+                raise ValueError(f"{c!r} is not a scalar of {self.field!r}")
             if c:
                 out[key] = c
         return EnvelopeElement(self, out)
@@ -193,12 +185,7 @@ class Envelope:
             lau = [0] * self.natoms
             for k, e in enumerate(mon):
                 if e:
-                    name = self.ring.variables[k]
-                    if name not in self._apos:
-                        raise ValueError(
-                            f"{name!r} does not survive at {self.x!r}"
-                        )
-                    lau[self._apos[name]] = e
+                    lau[self._apos[self.ring.variables[k]]] = e
             out[(tuple(lau), (0,) * self.ninv)] = c
         return EnvelopeElement(self, out)
 
@@ -250,8 +237,11 @@ class Envelope:
         return elem.terms
 
     def act_variable(self, z, elem):
-        """Action of a single variable, monomial by monomial."""
-        self.ring.variable_degree(z)  # ValueError on a name with no variable
+        """Action of a single variable, monomial by monomial.  z resolves
+        through the position tables first, so a name that is neither an atom
+        below x nor an inverse variable raises on the zero element too."""
+        if self._apos.get(z) is None:
+            self._ipos[z]
         out = {}
         for mon, c in self._terms(elem).items():
             for key in self._step(z, mon):
@@ -260,8 +250,7 @@ class Envelope:
 
     def act_monomial(self, mon, elem):
         """Action of the monomial with exponent tuple mon, in ring order."""
-        check_integers(mon, "exponents")
-        if len(mon) != self.ring.nvars or min(mon, default=0) < 0:
+        if len(check_non_negative(mon, "exponents")) != self.ring.nvars:
             raise ValueError(f"not an exponent tuple of this ring: {mon!r}")
         self._terms(elem)
         for z, e in zip(self.ring.variables, mon):
@@ -283,8 +272,6 @@ class Envelope:
     def act_tilde(self, z, elem):
         """Action of the straightened variable: a pure inverse-part shift,
         killing monomials whose z-exponent is zero."""
-        if z not in self._ipos:
-            raise ValueError(f"{z!r} is not an inverse variable at {self.x!r}")
         j = self._ipos[z]
         out = {}
         for (lau, inv), c in self._terms(elem).items():
@@ -296,7 +283,7 @@ class Envelope:
 
     def act_laurent(self, shift, elem):
         """Multiplication by the Laurent unit t^shift, over the atoms below x."""
-        shift = degree_vector(shift, self.natoms)
+        shift = check_integers(degree_vector(shift, self.natoms), "degree entries")
         out = {}
         for (lau, inv), c in self._terms(elem).items():
             out[(tuple(map(add, lau, shift)), inv)] = c
@@ -374,8 +361,9 @@ class Envelope:
         (depth_max, that degree) with their depths and Laurent offsets.
         Empty whenever a has a positive entry at an atom not below x.
         """
-        _check_bound(depth_max, "depth bound")
-        a = degree_vector(a, self.ring.natoms)
+        check_non_negative((depth_max,), "depth bound")
+        check_integers((depth_min,), "least depth")
+        a = check_integers(degree_vector(a, self.ring.natoms), "degree entries")
         afree = tuple(a[g] for g in self._free)
         part = self._slices.get((depth_max, afree))
         if part is None:
@@ -396,7 +384,7 @@ class Envelope:
 
     def _box_axes(self, laurent_bound, w):
         """(Laurent positions, inverse positions, Laurent range) of the box."""
-        _check_bound(laurent_bound, "Laurent bound")
+        check_non_negative((laurent_bound,), "Laurent bound")
         if w is None:
             lpos, ipos = range(self.natoms), range(self.ninv)
             return lpos, ipos, range(-laurent_bound, laurent_bound + 1)
@@ -474,10 +462,8 @@ class Envelope:
         (4) So the kernels differ by that translation, multiplication by the
         unit t^{a_x}: the S-linear shift of ``act_laurent``.
         """
-        a = degree_vector(a, self.ring.natoms)
-        if any(v < 0 for v in a):
-            raise ValueError("degree must be componentwise non-negative")
-        _check_bound(depth_bound, "depth bound")
+        a = check_non_negative(degree_vector(a, self.ring.natoms), "degree entries")
+        check_non_negative((depth_bound,), "depth bound")
         if any(a[g] for g in self._free):
             return []
         basis = self._kernels.get(depth_bound)
@@ -485,7 +471,7 @@ class Envelope:
             mons, rows = self._annihilator_rows((0,) * len(a), depth_bound)
             basis = self._kernels[depth_bound] = [
                 [(mons[k], v) for k, v in enumerate(vec) if v]
-                for vec in kernel_basis(rows, len(mons), self.ring.field)
+                for vec in kernel_basis(rows, len(mons), self.field)
             ]
         ax = tuple(a[g] for g in self._acoord)
         return [
@@ -608,7 +594,7 @@ class Envelope:
             ipart = "*".join(
                 f"t[{z}]^{-e}" for z, e in zip(self.inv_vars, inv) if e
             ) or "1"
-            bits.append(f"({self.ring.field.format(c)})*({lpart} (x) {ipart})")
+            bits.append(f"({self.field.format(c)})*({lpart} (x) {ipart})")
         return " + ".join(bits)
 
     def element_to_json(self, elem):
@@ -619,7 +605,7 @@ class Envelope:
                 {
                     "laurent": {a: e for a, e in zip(self.atoms, lau) if e},
                     "inverse": {z: e for z, e in zip(self.inv_vars, inv) if e},
-                    "coeff": self.ring.field.format(elem.terms[mon]),
+                    "coeff": self.field.format(elem.terms[mon]),
                 }
             )
         return {"ambient": self.x, "terms": terms}

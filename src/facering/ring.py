@@ -20,7 +20,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from .poset import _Index
-from .scalars import QQ, Combination, add_term, check_integers
+from .scalars import QQ, Combination, add_term, check_non_negative
 
 
 class Polynomial(Combination):
@@ -123,11 +123,9 @@ class PolyRing:
         exponent is a non-negative integer of a variable of the ring."""
         if not self.field.is_scalar(coeff):
             raise ValueError(f"{coeff!r} is not a scalar of {self.field!r}")
-        check_integers(tuple(exps.values()), "exponents")
+        check_non_negative(tuple(exps.values()), "exponents")
         vec = [0] * self.nvars
         for name, e in exps.items():
-            if e < 0:
-                raise ValueError("negative exponent")
             vec[self._vidx[name]] += e
         if not coeff:
             return self.zero()

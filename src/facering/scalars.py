@@ -185,6 +185,17 @@ def check_integers(values, what):
     return values
 
 
+def check_non_negative(values, what):
+    """values, after ``ValueError`` unless every entry is an int of at least
+    zero: the one rule for bounds, inverse exponents, ring exponents and
+    annihilator degrees.  A pass costs one type test and one ``min``, both
+    in C; only a failure goes on to ``check_integers``, for its message."""
+    if not _INT.issuperset(map(type, values)) or values and min(values) < 0:
+        check_integers(values, what)
+        raise ValueError(f"{what} must be non-negative, got {values!r}")
+    return values
+
+
 def add_term(terms, key, c):
     """Add c to the coefficient of key in the sparse dict terms, in place.
 
@@ -241,6 +252,11 @@ class Combination:
         return self + (-other)
 
     def scale(self, c):
+        """This combination times c; ``ValueError`` unless c is a scalar of
+        the parent's field."""
+        parent = self._parent()
+        if not parent.field.is_scalar(c):
+            raise ValueError(f"{c!r} is not a scalar of {parent.field!r}")
         if not c:
-            return type(self)(self._parent(), {})
-        return type(self)(self._parent(), {m: v * c for m, v in self.terms.items()})
+            return type(self)(parent, {})
+        return type(self)(parent, {m: v * c for m, v in self.terms.items()})

@@ -244,6 +244,35 @@ def test_nonclean_automorphism(ring_p1):
         nonclean_automorphism(ring_p1, "y1", ring_p1.field.one)
 
 
+@pytest.mark.parametrize("field, lam", [(PrimeField(2), 1), (QQ, 0.5)], ids=["F2-int", "Q-float"])
+def test_nonclean_automorphism_checks_lam_when_built(field, lam):
+    # over F2 the int 1 raised AttributeError on the first t[x]^-1; over Q
+    # 0.5 left float coefficients
+    ring = PolyRing(bundled_poset("p1"), field)
+    with pytest.raises(ValueError, match=f"not a scalar of {field!r}"):
+        nonclean_automorphism(ring, "x", lam)
+    sigma = nonclean_automorphism(ring, "x", field.one)
+    env = Envelope.of(ring, "x")
+    assert sigma(env.monomial(inverse={"x": 1})) == env.monomial(inverse={"x": 1}) + env.monomial(
+        {"y1": -1, "y2": -1}
+    )
+
+
+def test_maps_reject_elements_of_other_envelopes(ring_p1):
+    # CleanMap and GradedEndomap read the rule from Envelope._terms
+    maps = [
+        cover_map(ring_p1, "x", "y1"),
+        chain_map(ring_p1, ("x", "y1", "0")),
+        nonclean_automorphism(ring_p1, "x", ring_p1.field.one),
+        GradedEndomap(Envelope.of(ring_p1, "x"), lambda e: e),
+    ]
+    foreign = [Envelope.of(ring_p1, "z").unit(), Envelope.of(PolyRing(ring_p1.poset), "x").unit()]
+    for m in maps:
+        for e in foreign:
+            with pytest.raises(ValueError, match="element lives in a different envelope"):
+                m(e)
+
+
 def test_nonclean_automorphism_is_linear(ring_p1):
     sigma = nonclean_automorphism(ring_p1, "x", ring_p1.field.from_int(3))
     rep = check_linearity(sigma, laurent_bound=2, depth_bound=3)

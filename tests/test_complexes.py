@@ -439,6 +439,26 @@ def test_degree_entries_must_be_integers(a):
         simplicial_oracle(poset, a)
 
 
+@pytest.mark.parametrize("a", [(1,), (1, 0, 0, 0), (0.5, 0, 0), (True, 0, 0)])
+def test_differential_matrix_checks_its_degree(a):
+    # each of these was taken as a degree, (1,) as the all-zero one
+    sc = build_scalar_complex(bundled_poset("solid_triangle"), QQ)
+    with pytest.raises(ValueError, match="wrong length|degree entries must be integers"):
+        differential_matrix(sc, a, 1)
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_differential_matrix_is_empty_at_negative_degrees(name):
+    # on solid_triangle at (-1, 0, 0), i = 1 it returned [[1, 1, 1]], a slice
+    # that cohomology_dims_at calls empty
+    poset = bundled_poset(name)
+    sc = build_scalar_complex(poset, QQ)
+    for a in product((-1, 0, 1), repeat=len(poset.atoms)):
+        if min(a) < 0:
+            for i in range(poset.max_rank + 2):
+                assert differential_matrix(sc, a, i) == ([], [], []), (a, i)
+
+
 def test_point_complex():
     point = SimplicialPoset(["pt"], [])
     sc = build_scalar_complex(point, QQ)

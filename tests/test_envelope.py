@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from facering import Envelope, EnvelopeElement, bundled_poset, PolyRing, envelope
 from facering.cleanmap import check_clean, check_linearity, cover_map
-from facering.complexes import build_gamma, verify_dd_zero
+from facering.complexes import build_gamma, dd_sweep_size, verify_dd_zero
 from facering.envelope import bounded_vectors, count_bounded_vectors
 from facering.linalg import kernel_basis
 from facering.scalars import QQ, PrimeField, add_term
@@ -101,6 +101,68 @@ def test_act_variable_errors(env_x):
         env_x.act_variable("0", env_x.unit())
     with pytest.raises(ValueError):
         env_x.act_variable("w", env_x.unit())
+
+
+# each name rule of the envelope at x on p1 (atoms y1, y2; inverse variables
+# x, z) is its position tables' __missing__; no entry point checks names itself
+ENVELOPE_NAME_CALLS = {
+    "monomial_key_laurent": (lambda e: e.monomial_key({"zz": 1}), "no atom below 'x' named 'zz'"),
+    "monomial_key_laurent_inverse_name": (
+        lambda e: e.monomial_key({"z": 1}), "no atom below 'x' named 'z'"
+    ),
+    "monomial_key_inverse": (
+        lambda e: e.monomial_key(inverse={"zz": 1}), "no inverse variable at 'x' named 'zz'"
+    ),
+    "monomial_key_inverse_atom": (
+        lambda e: e.monomial_key(inverse={"y1": 1}), "no inverse variable at 'x' named 'y1'"
+    ),
+    "embed_base": (
+        lambda e: e.embed_base(e.ring.variable("z")), "no atom below 'x' named 'z'"
+    ),
+    "act_tilde_atom": (
+        lambda e: e.act_tilde("y1", e.unit()), "no inverse variable at 'x' named 'y1'"
+    ),
+    "act_variable_zero": (
+        lambda e: e.act_variable("zz", e.zero()), "no inverse variable at 'x' named 'zz'"
+    ),
+    "act_variable_bottom": (
+        lambda e: e.act_variable("0", e.zero()), "no inverse variable at 'x' named '0'"
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", ENVELOPE_NAME_CALLS.values(), ids=ENVELOPE_NAME_CALLS)
+def test_envelope_names_raise_from_the_position_tables(env_x, call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(env_x)
+
+
+# each path whose non-negativity rule is now scalars.check_non_negative, past
+# the bounds test_negative_bounds_raise covers
+NEGATIVE_INPUT_CALLS = {
+    "monomial_key": lambda e: e.monomial_key({"y1": 1}, {"x": -1}),
+    "element": lambda e: e.element({((0, 0), (0, -1)): e.field.one}),
+    "act_monomial": lambda e: e.act_monomial((0, -1, 0, 0), e.unit()),
+    "PolyRing.term": lambda e: e.ring.term(e.field.one, {"x": -1}),
+    "annihilator_degree": lambda e: e.annihilator_basis((1, -1), 2),
+    "annihilator_depth": lambda e: e.annihilator_basis((1, 0), -1),
+    "dd_sweep_size": lambda e: dd_sweep_size(e.ring, -1),
+}
+
+
+@pytest.mark.parametrize("call", NEGATIVE_INPUT_CALLS.values(), ids=NEGATIVE_INPUT_CALLS)
+def test_negative_inputs_raise_non_negative(env_x, call):
+    with pytest.raises(ValueError, match="must be non-negative, got"):
+        call(env_x)
+
+
+def test_least_depth_must_be_an_integer(env_x):
+    # a float least depth was taken as a bound; a negative one is no bound
+    with pytest.raises(ValueError, match="least depth must be integers"):
+        env_x.monomials_of_degree((0, 0), 2, depth_min=0.5)
+    assert env_x.monomials_of_degree((0, 0), 2, depth_min=-3) == env_x.monomials_of_degree(
+        (0, 0), 2
+    )
 
 
 def test_act_polynomial_examples(env_x, ring_p1):

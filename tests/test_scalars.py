@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from facering import Envelope, PolyRing, bundled_poset
 from facering.scalars import (
     PRIME_BOUND,
     QQ,
@@ -9,6 +10,7 @@ from facering.scalars import (
     PrimeField,
     add_term,
     check_integers,
+    check_non_negative,
     field_from_name,
 )
 
@@ -136,3 +138,37 @@ def test_check_integers_rejects_every_non_int(values):
 def test_check_integers_returns_ints_unchanged():
     assert check_integers((), "exponents") == ()
     assert check_integers((0, -3, 2**70), "exponents") == (0, -3, 2**70)
+
+
+@pytest.mark.parametrize("values", [(-1,), (0, 3, -2), (-(2**70),)])
+def test_check_non_negative_rejects_a_negative_entry(values):
+    with pytest.raises(ValueError, match=r"bound must be non-negative, got \("):
+        check_non_negative(values, "bound")
+
+
+@pytest.mark.parametrize("values", [(True,), (1, 2.0), (Fraction(1),)])
+def test_check_non_negative_rejects_every_non_int(values):
+    with pytest.raises(ValueError, match="bound must be integers"):
+        check_non_negative(values, "bound")
+
+
+def test_check_non_negative_returns_its_values_unchanged():
+    assert check_non_negative((), "bound") == ()
+    assert check_non_negative((0, 2, 2**70), "bound") == (0, 2, 2**70)
+    assert check_non_negative([0, 1], "bound") == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "field, c",
+    [(QQ, 0.5), (QQ, 1), (PrimeField(2), 1), (PrimeField(2), PrimeField(3).one)],
+    ids=["Q-float", "Q-int", "F2-int", "F2-F3"],
+)
+def test_scale_rejects_what_is_not_a_scalar_of_the_field(field, c):
+    # over Q a float coefficient was stored; over F2 an int failed only
+    # when an FpElement multiplied by it
+    ring = PolyRing(bundled_poset("p1"), field)
+    for elem in (ring.variable("x"), Envelope.of(ring, "x").unit()):
+        with pytest.raises(ValueError, match=f"not a scalar of {field!r}"):
+            elem.scale(c)
+        assert elem.scale(field.zero).is_zero()
+        assert elem.scale(field.from_int(3)) == elem + elem + elem

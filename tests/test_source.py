@@ -215,3 +215,48 @@ def test_only_the_name_tables_build_unknown_name_messages():
     assert found.pop("poset.py", None), "poset.py no longer names an unknown element"
     assert found.pop("ring.py", None), "ring.py no longer names an unknown variable"
     assert found == {}
+
+
+def test_envelope_checks_no_name_against_its_position_tables():
+    # Envelope._apos and _ipos raise on a name they lack, so an ``in`` or
+    # ``not in`` test against them in envelope.py is a second owner of the
+    # name rule; ``.get`` stays, for the step that tries both tables
+    path = Path(facering.__file__).parent / "envelope.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        for op, right in zip(node.ops, node.comparators)
+        if isinstance(op, (ast.In, ast.NotIn))
+        and isinstance(right, ast.Attribute)
+        and right.attr in ("_apos", "_ipos")
+    ]
+    assert found == []
+
+
+def test_only_scalars_and_the_bound_type_build_non_negative_messages():
+    # scalars.check_non_negative owns "must be non-negative"; the CLI's
+    # argparse type _bound keeps its own, as argparse needs its error type
+    def phrases(node):
+        return {
+            sub.lineno
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Constant)
+            and isinstance(sub.value, str)
+            and "must be non-negative" in sub.value
+        }
+
+    found = {}
+    for path in sorted(Path(facering.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = phrases(tree)
+        if path.name == "cli.py":
+            bound = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_bound"]
+            assert bound, "cli.py no longer defines _bound"
+            assert phrases(bound[0]), "cli._bound no longer says must be non-negative"
+            lines -= phrases(bound[0])
+        if lines:
+            found[path.name] = sorted(lines)
+    assert found.pop("scalars.py", None), "scalars.py no longer says must be non-negative"
+    assert found == {}
