@@ -66,10 +66,10 @@ class CoverData:
     The step moves one coordinate.  The target's atoms are the source's
     minus the removed atom r, both in the global atom order, and the
     target's inverse variables are the source's plus r, both in ring order.
-    Proof: every atom below z is below x, and ``active_positions(z)`` leaves
-    exactly one atom of x not below z (``len(lpos) == 1``); each envelope
-    lists its atoms by filtering the global atom order and its inverse
-    variables by filtering the ring order down to the non-atoms.  So a
+    Proof: every atom below z is below x, and exactly one atom of x is not
+    below z (``SimplicialPoset.removed_atom`` raises otherwise); each
+    envelope lists its atoms by filtering the global atom order and its
+    inverse variables by filtering the ring order down to the non-atoms.  So a
     target Laurent part is the source's with position r_pos deleted, and a
     target inverse part is the source's with r's exponent inserted at
     r_tgt.  The Z positions ``z_src`` (the elements below x but not below z)
@@ -78,19 +78,15 @@ class CoverData:
 
     def __init__(self, ring, upper, lower):
         poset = ring.poset
-        if not poset.is_cover(upper, lower):
-            raise ValueError(f"{upper!r} does not cover {lower!r}")
+        self.removed = poset.removed_atom(upper, lower)
         self.ring = ring
         self.upper = upper
         self.lower = lower
         self.source = Envelope.of(ring, upper)
         self.target = Envelope.of(ring, lower)
         src = self.source
-        lpos, self.z_src = src.active_positions(lower)
-        if len(lpos) != 1:
-            raise ValueError(f"cover {upper!r} > {lower!r} does not remove one atom")
-        (self.r_pos,) = lpos
-        self.removed = src.atoms[self.r_pos]
+        _, self.z_src = src.active_positions(lower)
+        self.r_pos = src._apos[self.removed]
         for j, z in enumerate(src.inv_vars):
             if poset.leq(z, upper) and (j in self.z_src) != poset.leq(self.removed, z):
                 raise ValueError(f"{z!r} breaks the boolean interval below {upper!r}")
@@ -223,10 +219,8 @@ class CleanMap:
     with a positive exponent at its removed atom to zero and adds only
     non-negative bumps to the exponents of the atoms it keeps, so a positive
     entry of a gives an empty image.  The table is filled on first use of
-    each a: a single cover reads its entry from ``CoverData._expansions``,
-    which is cached per ring; any other chain, the identity (x,) included,
-    runs the probe through ``CoverData.apply_monomial`` step by step.  Both
-    kinds of entry are translated by the same loop as a cover step's.
+    each a, by running the probe through ``CoverData.apply_monomial`` step
+    by step, for every chain, the identity (x,) included.
     """
 
     def __init__(self, ring, chain):
@@ -263,12 +257,10 @@ class CleanMap:
 
     def _fill(self, a):
         """The table entry of the removed-atom exponents a: empty when an
-        entry of a is positive, else a single cover's expansions, or the
-        image of the probe monomial at a, run through every step."""
+        entry of a is positive, else the image of the probe monomial at a,
+        run through every step."""
         if max(a, default=0) > 0:
             return ()
-        if len(self.covers) == 1:
-            return self.covers[0]._expansions(-a[0])
         lau = [0] * self.source_env.natoms
         for p, e in zip(self._lpos, a):
             lau[p] = e
@@ -316,8 +308,6 @@ def cover_map(ring, upper, lower):
 
 def rank1_map(ring, atom):
     """The map from a rank-1 envelope down to the bottom envelope."""
-    if ring.poset.rank_of(atom) != 1:
-        raise ValueError(f"{atom!r} is not rank 1")
     return CleanMap(ring, (atom, ring.poset.bottom))
 
 

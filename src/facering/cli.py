@@ -37,7 +37,7 @@ from .complexes import (
 from .envelope import Envelope
 from .poset import PosetError, validate_simplicial
 from .ring import PolyRing
-from .scalars import FieldError, check_non_negative, field_from_name
+from .scalars import field_from_name
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -79,17 +79,16 @@ def _load(args):
     if not report.ok:
         _print_violations(report)
         raise _InvalidPoset
-    return poset, PolyRing(poset, field_from_name(args.field, args.prime))
+    return poset, PolyRing(poset, field_from_name(args.field))
 
 
-def _parse_vector(text, n, what):
+def _parse_vector(text):
+    """The comma-separated ints of a degree vector; its length is checked
+    where it is used."""
     try:
-        vec = tuple(int(v) for v in text.split(","))
+        return tuple(int(v) for v in text.split(","))
     except ValueError as exc:
-        raise FieldError(f"bad {what} vector {text!r}") from exc
-    if len(vec) != n:
-        raise FieldError(f"{what} vector needs {n} entries, got {len(vec)}")
-    return vec
+        raise ValueError(f"bad degree vector {text!r}") from exc
 
 
 _WARN_SIZE = 5_000_000
@@ -177,20 +176,16 @@ def cmd_ring(args):
 
 def cmd_envelope(args):
     poset, ring = _load(args)
-    deg = _parse_vector(args.deg, ring.natoms, "degree")
-    check_non_negative(deg, "degree entries")
+    deg = _parse_vector(args.deg)
     envs = {x: Envelope.of(ring, x) for x in ([args.x] if args.x else poset.elements)}
+    # every dimension first: a bad degree raises before any output
+    dims = {x: len(env.annihilator_basis(deg, args.depth)) for x, env in envs.items()}
+    supp = {poset.atoms[g] for g, v in enumerate(deg) if v > 0}
+    expected = {x: 1 if supp <= poset.atom_set(x) else 0 for x in envs}
+    ok = dims == expected
     print(f"annihilator dimensions at deg={list(deg)}, depth <= {args.depth}:")
-    dims = {}
-    expected = {}
-    ok = True
-    for x, env in envs.items():
-        basis = env.annihilator_basis(deg, args.depth)
-        dims[x] = len(basis)
-        supp = {poset.atoms[g] for g, v in enumerate(deg) if v > 0}
-        expected[x] = 1 if supp <= poset.atom_set(x) else 0
+    for x in envs:
         status = "ok" if dims[x] == expected[x] else "MISMATCH"
-        ok = ok and dims[x] == expected[x]
         print(f"{x}: dim={dims[x]} expected={expected[x]} {status}")
     cert = {
         "poset": args.poset,
@@ -265,7 +260,7 @@ def cmd_cleanmap(args):
 def cmd_complex(args):
     poset, ring = _load(args)
     sc = build_scalar_complex(poset, ring.field)
-    a = _parse_vector(args.a, ring.natoms, "degree") if args.a else (0,) * ring.natoms
+    a = _parse_vector(args.a) if args.a else (0,) * ring.natoms
     rep = complex_report(sc, a, args.poset, with_oracle=args.oracle)
     print(f"dims at a={list(a)}:")
     for i in sorted(rep["dims"], key=int):
@@ -319,8 +314,7 @@ def build_parser():
 
     def common(p):
         p.add_argument("--poset", required=True, help="poset JSON file or bundled name")
-        p.add_argument("--field", default="Q", help="Q, F2, F3, ... or Fp with --prime")
-        p.add_argument("--prime", type=int)
+        p.add_argument("--field", default="Q", help="Q, F2, F3, ... or F<p>")
         p.add_argument("--json", dest="json_path")
 
     p = sub.add_parser("ring", help="defining relations, grading, membership")

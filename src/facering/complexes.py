@@ -229,6 +229,7 @@ def differential_matrix(sc: ScalarComplex, a, i):
     field, with its row and column labels.  ``ValueError`` unless a is a
     vector of ints, one per atom."""
     a = check_integers(degree_vector(a, len(sc.poset.atoms)), "degree entries")
+    check_integers((i,), "rank")
     cols = _slice_members(sc, a, i)
     rows = _slice_members(sc, a, i - 1)
     fld = sc.field

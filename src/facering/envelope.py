@@ -64,7 +64,9 @@ def degree_vector(a, natoms):
     ``check_non_negative``."""
     a = tuple(a)
     if len(a) != natoms:
-        raise ValueError("degree vector has the wrong length")
+        raise ValueError(
+            f"degree vector has the wrong length: needs {natoms} entries, got {len(a)}"
+        )
     return a
 
 

@@ -290,22 +290,19 @@ class PolyRing:
     # ---------- straightening normal form ----------
 
     def is_chain_monomial(self, mon):
-        return self._first_incomparable_pair(mon) is None
+        return self._incomparable_pair(mon, False) is None
 
-    def _first_incomparable_pair(self, mon):
-        support = [k for k, e in enumerate(mon) if e]
-        for a, i in enumerate(support):
-            for j in support[a + 1:]:
-                if (i, j) in self._rewrite:
-                    return (i, j)
-        return None
-
-    def _last_incomparable_pair(self, mon):
+    def _incomparable_pair(self, mon, last):
+        """The first incomparable pair (i, j), i < j, of support positions of
+        mon in lexicographic order, or with last the final one; None for a
+        chain monomial."""
         support = [k for k, e in enumerate(mon) if e]
         best = None
         for a, i in enumerate(support):
             for j in support[a + 1:]:
                 if (i, j) in self._rewrite:
+                    if not last:
+                        return (i, j)
                     best = (i, j)
         return best
 
@@ -331,13 +328,10 @@ class PolyRing:
         work = dict(f.terms)
         steps = 0
         maxfirst = strategy == "max-monomial"
-        find_pair = (
-            self._first_incomparable_pair if maxfirst else self._last_incomparable_pair
-        )
         while True:
             picked = None
             for mon in sorted(work, reverse=maxfirst):
-                pair = find_pair(mon)
+                pair = self._incomparable_pair(mon, not maxfirst)
                 if pair is not None:
                     picked = (mon, pair)
                     break

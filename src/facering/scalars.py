@@ -68,7 +68,7 @@ class FpElement:
     def __truediv__(self, other):
         if not other.val:
             raise ZeroDivisionError("division by zero residue")
-        return FpElement(self.val * pow(other.val, self.p - 2, self.p), self.p)
+        return FpElement(self.val * pow(other.val, -1, self.p), self.p)
 
     def __eq__(self, other):
         return (
@@ -158,17 +158,11 @@ class PrimeField:
 QQ = Rationals()
 
 
-def field_from_name(name: str, prime: int | None = None):
-    """Resolve "Q", "F<p>", or ("Fp", prime) to a field handle."""
+def field_from_name(name: str):
+    """Resolve "Q" or "F<p>" to a field handle."""
     name = name.strip()
-    if prime is not None and name != "Fp":
-        raise FieldError(f"a prime goes with field Fp, not {name!r}")
-    if name in ("Q", "QQ"):
+    if name == "Q":
         return QQ
-    if name == "Fp":
-        if prime is None:
-            raise FieldError("field Fp needs an explicit prime")
-        return PrimeField(prime)
     if name.startswith("F") and name[1:].isdigit():
         return PrimeField(int(name[1:]))
     raise FieldError(f"unknown field {name!r}")

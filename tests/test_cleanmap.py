@@ -88,8 +88,17 @@ def test_cover_map_specific_value(ring_p1, psi):
 
 
 def test_cover_map_not_a_cover(ring_p1):
-    with pytest.raises(ValueError):
+    # the poset owns the cover rule and its message
+    with pytest.raises(ValueError, match="^'x' does not cover '0'$"):
         cover_map(ring_p1, "x", "0")
+
+
+@pytest.mark.parametrize("atom", ["123", "0"])
+def test_rank1_map_needs_a_cover_of_the_bottom(atom):
+    # an element covers the bottom exactly when its rank is 1
+    ring = PolyRing(bundled_poset("solid_triangle"), QQ)
+    with pytest.raises(ValueError, match=f"^{atom!r} does not cover '0'$"):
+        rank1_map(ring, atom)
 
 
 def test_rank1_map(ring_p1):

@@ -125,6 +125,25 @@ def test_envelope_bad_degree(capsys):
     assert "must be non-negative" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["envelope", "--poset", "p1", "--deg", "1,-1"],
+         "degree entries must be non-negative, got (1, -1)"),
+        (["envelope", "--poset", "p1", "--deg", "1"],
+         "degree vector has the wrong length: needs 2 entries, got 1"),
+        (["complex", "--poset", "p1", "--a", "1,2,3"],
+         "degree vector has the wrong length: needs 2 entries, got 3"),
+    ],
+)
+def test_degree_is_checked_once_before_output(capsys, argv, message):
+    # the library's own degree checks, not the CLI, reject these
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_ring_coefficients_over_prime_field(capsys):
     argv = ["ring", "--poset", "p1", "--field", "F3", "--straighten"]
     assert main([*argv, "4*t[y1]*t[y2]"]) == 0
@@ -403,17 +422,26 @@ def test_envelope_cert_deterministic(tmp_path):
 
 def test_field_option_threads_through(capsys):
     assert main(["ring", "--poset", "p1", "--field", "F3", "--straighten", "t[y1]*t[y2]"]) == 0
-    assert main(["ring", "--poset", "p1", "--field", "Fp", "--prime", "5"]) == 0
     assert main(["ring", "--poset", "p1", "--field", "F4"]) == 2
 
 
-@pytest.mark.parametrize("field", ["F3", "Q"])
-def test_prime_without_fp_is_usage_error(capsys, field):
-    argv = ["ring", "--poset", "p1", "--field", field, "--prime", "5"]
-    assert main(argv) == 2
+@pytest.mark.parametrize("field", ["Fp", "QQ"])
+def test_field_has_one_name_per_field(capsys, field):
+    # a prime field is named F<p> and the rationals Q; no alias
+    assert main(["ring", "--poset", "p1", "--field", field]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "Fp" in captured.err
+    assert f"unknown field {field!r}" in captured.err
+
+
+@pytest.mark.parametrize("command", ["ring", "envelope", "cleanmap", "complex"])
+def test_prime_option_is_gone(capsys, command):
+    # --field F5 names the field a prime option once selected
+    deg = ["--deg", "0,0"] if command == "envelope" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--poset", "p1", *deg, "--prime", "5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(
@@ -442,7 +470,7 @@ def test_invalid_poset_fails_before_output(tmp_path, capsys, argv):
 
 
 def test_prime_above_bound_is_usage_error(capsys):
-    argv = ["ring", "--poset", "p1", "--field", "Fp", "--prime", str(2**89 - 1)]
+    argv = ["ring", "--poset", "p1", "--field", f"F{2**89 - 1}"]
     assert main(argv) == 2
     assert "bound" in capsys.readouterr().err
 

@@ -447,6 +447,14 @@ def test_differential_matrix_checks_its_degree(a):
         differential_matrix(sc, a, 1)
 
 
+@pytest.mark.parametrize("i", [1.5, True, "1"])
+def test_differential_matrix_checks_its_rank(i):
+    # 1.5 gave an empty slice, True the rank-1 slice, '1' a TypeError
+    sc = build_scalar_complex(bundled_poset("solid_triangle"), QQ)
+    with pytest.raises(ValueError, match="rank must be integers"):
+        differential_matrix(sc, (0, 0, 0), i)
+
+
 @pytest.mark.parametrize("name", ALL_BUNDLED)
 def test_differential_matrix_is_empty_at_negative_degrees(name):
     # on solid_triangle at (-1, 0, 0), i = 1 it returned [[1, 1, 1]], a slice

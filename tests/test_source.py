@@ -1,5 +1,6 @@
 """Checks on the package source itself."""
 
+import argparse
 import ast
 import importlib.util
 import inspect
@@ -199,11 +200,9 @@ def test_oracle_references_nothing_from_linalg():
         assert used.isdisjoint(from_linalg | {"linalg"}), name
 
 
-def test_only_the_name_tables_build_unknown_name_messages():
-    # the poset's and the ring's name tables raise on a name they lack, so
-    # an "unknown element" or "unknown variable" message built anywhere else
-    # is a second owner of that rule; f-string parts are constants too
-    phrases = ("unknown element", "unknown variable")
+def _phrases_by_file(phrases):
+    """{source file name: the phrases its string constants contain}, for
+    the files that contain any; f-string parts are constants too."""
     found = {}
     for path in sorted(Path(facering.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -212,6 +211,14 @@ def test_only_the_name_tables_build_unknown_name_messages():
                 for phrase in phrases:
                     if phrase in node.value:
                         found.setdefault(path.name, set()).add(phrase)
+    return found
+
+
+def test_only_the_name_tables_build_unknown_name_messages():
+    # the poset's and the ring's name tables raise on a name they lack, so
+    # an "unknown element" or "unknown variable" message built anywhere else
+    # is a second owner of that rule
+    found = _phrases_by_file(("unknown element", "unknown variable"))
     assert found.pop("poset.py", None), "poset.py no longer names an unknown element"
     assert found.pop("ring.py", None), "ring.py no longer names an unknown variable"
     assert found == {}
@@ -260,3 +267,23 @@ def test_only_scalars_and_the_bound_type_build_non_negative_messages():
             found[path.name] = sorted(lines)
     assert found.pop("scalars.py", None), "scalars.py no longer says must be non-negative"
     assert found == {}
+
+
+def test_only_the_poset_builds_cover_messages():
+    # SimplicialPoset.removed_atom owns "u covers l and removes one atom";
+    # a cover message built anywhere else is a second owner of that rule
+    phrases = ("does not cover", "does not remove")
+    found = _phrases_by_file(phrases)
+    assert found.pop("poset.py", None) == set(phrases)
+    assert found == {}
+
+
+def test_a_field_is_named_by_one_string():
+    # "Q" or "F<p>": no prime option in the CLI, no prime parameter
+    assert list(inspect.signature(facering.scalars.field_from_name).parameters) == ["name"]
+    parser = facering.cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sub.choices
+    for name, command in sub.choices.items():
+        options = {s for a in command._actions for s in a.option_strings}
+        assert "--prime" not in options, name
