@@ -74,6 +74,11 @@ class CoverData:
     target inverse part is the source's with r's exponent inserted at
     r_tgt.  The Z positions ``z_src`` (the elements below x but not below z)
     absorb the binomial transfer out of r; every other exponent is copied.
+
+    The constructor raises unless an element below x lies in Z exactly when
+    it is above r (the interval below x is boolean).  So r, an atom, is
+    among the atoms of each Z element: each Z element's face bump is one at
+    r_pos, and ``_kept_bumps`` holds the rest of it, on the kept atoms.
     """
 
     def __init__(self, ring, upper, lower):
@@ -93,21 +98,9 @@ class CoverData:
         self.r_tgt = self.target._ipos[self.removed]
         r = self.r_pos
         zbumps = [src._ibump[j] for j in self.z_src]
-        if any(zb[r] != 1 for zb in zbumps):
-            raise ValueError(
-                f"an element between {lower!r} and {upper!r} misses the removed atom"
-            )
         self._kept_bumps = tuple(zb[:r] + zb[r + 1:] for zb in zbumps)
         self._dcache = {}
         self._kept = _picker([*range(r), *range(r + 1, src.natoms)])
-
-    @classmethod
-    def of(cls, ring, upper, lower):
-        key = (upper, lower)
-        cd = ring._covers.get(key)
-        if cd is None:
-            cd = ring._covers[key] = cls(ring, upper, lower)
-        return cd
 
     def _expansions(self, budget):
         """The table entry of a removed-atom exponent -budget (see
@@ -230,7 +223,7 @@ class CleanMap:
         self.ring = ring
         self.chain = chain
         self.covers = tuple(
-            CoverData.of(ring, u, l) for u, l in zip(chain, chain[1:])
+            CoverData(ring, u, l) for u, l in zip(chain, chain[1:])
         )
         self.source, self.target = chain[0], chain[-1]
         self.source_env = Envelope.of(ring, self.source)

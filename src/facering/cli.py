@@ -304,10 +304,11 @@ def build_parser():
         "simplicial posets.",
         epilog=f"Bundled posets (usable wherever a poset path is expected): "
         f"{', '.join(BUNDLED)}.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check the simpliciality axioms")
+    p = sub.add_parser("validate", help="check the simpliciality axioms", allow_abbrev=False)
     p.add_argument("poset", help="poset JSON file or bundled name")
     p.add_argument("--json", dest="json_path")
     p.set_defaults(func=cmd_validate)
@@ -317,21 +318,21 @@ def build_parser():
         p.add_argument("--field", default="Q", help="Q, F2, F3, ... or F<p>")
         p.add_argument("--json", dest="json_path")
 
-    p = sub.add_parser("ring", help="defining relations, grading, membership")
+    p = sub.add_parser("ring", help="defining relations, grading, membership", allow_abbrev=False)
     common(p)
     p.add_argument("--member", action="append", metavar="POLY")
     p.add_argument("--straighten", action="append", metavar="POLY")
     p.add_argument("--primes", action="store_true", help="list the graded primes")
     p.set_defaults(func=cmd_ring)
 
-    p = sub.add_parser("envelope", help="annihilator sweeps on the envelopes")
+    p = sub.add_parser("envelope", help="annihilator sweeps on the envelopes", allow_abbrev=False)
     common(p)
     p.add_argument("--deg", required=True, help="comma-separated degree vector")
     p.add_argument("--depth", type=_bound, default=3)
     p.add_argument("--x", help="restrict to one element")
     p.set_defaults(func=cmd_envelope)
 
-    p = sub.add_parser("cleanmap", help="certify cover maps")
+    p = sub.add_parser("cleanmap", help="certify cover maps", allow_abbrev=False)
     common(p)
     p.add_argument("--check-clean", action="store_true")
     p.add_argument("--check-linearity", action="store_true")
@@ -341,7 +342,9 @@ def build_parser():
     p.add_argument("--x", help="element for the roundtrip")
     p.set_defaults(func=cmd_cleanmap)
 
-    p = sub.add_parser("complex", help="degree slices, oracle, differential checks")
+    p = sub.add_parser(
+        "complex", help="degree slices, oracle, differential checks", allow_abbrev=False
+    )
     common(p)
     p.add_argument("--a", help="comma-separated degree vector (default all zero)")
     p.add_argument("--oracle", action="store_true")

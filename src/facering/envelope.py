@@ -22,7 +22,7 @@ pure, so parallel evaluation over degrees or elements is safe.
 from __future__ import annotations
 
 from itertools import combinations, product
-from operator import add, sub
+from operator import add
 
 from .linalg import kernel_basis
 from .poset import _Index
@@ -115,8 +115,6 @@ class Envelope:
             for z, under in zip(self.inv_vars, self._ileq)
         )
         self.unit_mon = ((0,) * self.natoms, (0,) * self.ninv)
-        self._invcache = {}
-        self._slices = {}
         self._kernels = {}  # depth bound -> degree-zero annihilator
         self._table = None
 
@@ -320,18 +318,12 @@ class Envelope:
     # ---------- monomial enumeration ----------
 
     def _inverse_vectors(self, depth_bound, positions=None):
-        """Inverse vectors of depth at most depth_bound that are zero off the
-        inverse positions (all by default), in lexicographic order.  Cached
-        per (depth_bound, positions), all positions keyed as the default:
-        every box and every degree slice of this envelope reads its inverse
-        parts from here."""
+        """Iterate the inverse vectors of depth at most depth_bound that are
+        zero off the inverse positions (all by default), in lexicographic
+        order."""
         pos = range(self.ninv) if positions is None else positions
-        key = (depth_bound, None if len(pos) == self.ninv else pos)
-        cached = self._invcache.get(key)
-        if cached is None:
-            vecs = bounded_vectors([self._iweight[j] for j in pos], depth_bound)
-            cached = self._invcache[key] = tuple(_spread(self.ninv, pos, vecs))
-        return cached
+        vecs = bounded_vectors([self._iweight[j] for j in pos], depth_bound)
+        return _spread(self.ninv, pos, vecs)
 
     def _slice_positions(self, a):
         """The inverse positions a monomial of degree a may be nonzero at, as
@@ -358,29 +350,23 @@ class Envelope:
         its degree a_g at each atom g not below x.  Its Laurent part is then
         forced: a minus the inverse part's degree, on the atoms below x.
         Conversely each such inverse vector with that Laurent part has
-        degree a.  So the slice is the cached inverse vectors on those
-        positions that have degree a at the atoms not below x, cached per
-        (depth_max, that degree) with their depths and Laurent offsets.
-        Empty whenever a has a positive entry at an atom not below x.
+        degree a.  So the slice is the inverse vectors on those positions
+        that have degree a at the atoms not below x, each with its forced
+        Laurent part.  Empty whenever a has a positive entry at an atom not
+        below x.
         """
         check_non_negative((depth_max,), "depth bound")
         check_integers((depth_min,), "least depth")
         a = check_integers(degree_vector(a, self.ring.natoms), "degree entries")
-        afree = tuple(a[g] for g in self._free)
-        part = self._slices.get((depth_max, afree))
-        if part is None:
-            positions = self._slice_positions(a)
-            if positions is None:
-                return []
-            part = []
-            for inv in self._inverse_vectors(depth_max, positions):
-                d = self.degree((self.unit_mon[0], inv))
-                if tuple(d[g] for g in self._free) == afree:
-                    dx = tuple(d[g] for g in self._acoord)
-                    part.append((dx, inv, self.depth((self.unit_mon[0], inv))))
-            part = self._slices[(depth_max, afree)] = tuple(part)
-        ax = tuple(a[g] for g in self._acoord)
-        out = [(tuple(map(sub, ax, dx)), inv) for dx, inv, depth in part if depth >= depth_min]
+        positions = self._slice_positions(a)
+        if positions is None:
+            return []
+        lau = self.unit_mon[0]
+        out = []
+        for inv in self._inverse_vectors(depth_max, positions):
+            d = self.degree((lau, inv))
+            if all(d[g] == a[g] for g in self._free) and self.depth((lau, inv)) >= depth_min:
+                out.append((tuple(a[g] - d[g] for g in self._acoord), inv))
         out.sort()
         return out
 

@@ -91,10 +91,10 @@ class PolyRing:
         self._rewrite = poset.join_table()
 
         self._relation_terms = None
-        # weak: envelopes and cover data point back at the ring, so a dropped
-        # ring is freed by reference counting, not by the cyclic collector
+        # the envelopes built on this ring, one per element (``Envelope.of``);
+        # weak: an envelope points back at the ring, so a dropped ring is
+        # freed by reference counting, not by the cyclic collector
         self._envelopes = weakref.WeakValueDictionary()
-        self._covers = weakref.WeakValueDictionary()
 
     def __repr__(self):
         return f"PolyRing({len(self.variables)} variables over {self.field!r})"

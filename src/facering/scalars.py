@@ -6,6 +6,7 @@ no floating point anywhere, so all downstream linear algebra is exact.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 
@@ -159,11 +160,12 @@ QQ = Rationals()
 
 
 def field_from_name(name: str):
-    """Resolve "Q" or "F<p>" to a field handle."""
+    """Resolve "Q" or "F<p>" to a field handle; p is written in ASCII
+    digits with no leading zero, so each field has one name."""
     name = name.strip()
     if name == "Q":
         return QQ
-    if name.startswith("F") and name[1:].isdigit():
+    if re.fullmatch(r"F[1-9][0-9]*", name):
         return PrimeField(int(name[1:]))
     raise FieldError(f"unknown field {name!r}")
 

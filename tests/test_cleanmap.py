@@ -25,6 +25,7 @@ from facering import (
     tau_coefficient,
     tau_map,
     PolyRing,
+    SimplicialPoset,
 )
 from facering import cleanmap
 from facering.cleanmap import clean_sweep_size
@@ -736,6 +737,22 @@ def test_chains_with_unknown_elements_raise_value_error():
             call()
 
 
+def test_cover_data_rejects_an_interval_that_is_not_boolean():
+    # below x the element d covers the atom a alone, so the interval [0, x]
+    # is not boolean: d is below x but not below ab, yet misses the removed
+    # atom c
+    poset = SimplicialPoset(
+        ["0", "a", "b", "c", "ab", "ac", "bc", "d", "x"],
+        [
+            ["a", "0"], ["b", "0"], ["c", "0"],
+            ["ab", "a"], ["ab", "b"], ["ac", "a"], ["ac", "c"], ["bc", "b"], ["bc", "c"],
+            ["d", "a"], ["x", "ab"], ["x", "ac"], ["x", "bc"], ["x", "d"],
+        ],
+    )
+    with pytest.raises(ValueError, match="'d' breaks the boolean interval below 'x'"):
+        CoverData(PolyRing(poset), "x", "ab")
+
+
 # every public call that takes an element or atom name, with the name "zz",
 # which tetrahedron_boundary lacks; each lookup goes through the poset's or
 # the ring's name table, so none leaks a bare KeyError
@@ -821,7 +838,7 @@ def test_cover_step_matches_reference(name):
     ring = PolyRing(poset)
     rng = random.Random(7)
     for u, l in poset.covers:
-        cd = CoverData.of(ring, u, l)
+        cd = CoverData(ring, u, l)
         if name == "rp2":
             mons = _random_source_monomials(cd.source, rng, 200)
         else:

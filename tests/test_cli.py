@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -425,13 +426,48 @@ def test_field_option_threads_through(capsys):
     assert main(["ring", "--poset", "p1", "--field", "F4"]) == 2
 
 
-@pytest.mark.parametrize("field", ["Fp", "QQ"])
+@pytest.mark.parametrize("field", ["Fp", "QQ", "F03"])
 def test_field_has_one_name_per_field(capsys, field):
     # a prime field is named F<p> and the rationals Q; no alias
     assert main(["ring", "--poset", "p1", "--field", field]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"unknown field {field!r}" in captured.err
+
+
+def _option_prefix_argvs(parser):
+    """A command line per strict prefix, three or more characters long, of
+    each long option of the parser and of each subcommand, that names no
+    option itself.  The rest of the line is complete, so only the prefix can
+    make parsing fail."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    commands = [([], parser, ["validate", "p1"])]
+    for name, command in sub.choices.items():
+        required = [
+            arg for a in command._actions if a.required for arg in [*a.option_strings[:1], "1"]
+        ]
+        commands.append(([name], command, required))
+    for head, command, tail in commands:
+        options = {s for a in command._actions for s in a.option_strings}
+        for action in command._actions:
+            value = [] if action.nargs == 0 else ["1"]
+            for option in action.option_strings:
+                for end in range(3, len(option) if option.startswith("--") else 0):
+                    if option[:end] not in options:
+                        yield [*head, option[:end], *value, *tail]
+
+
+def test_option_prefixes_are_usage_errors(capsys):
+    # argparse would read --dep as --depth and --tau as --tau-roundtrip; an
+    # option is named in full or not at all
+    parser = cli.build_parser()
+    argvs = list(_option_prefix_argvs(parser))
+    assert ["envelope", "--dep", "1", "--poset", "1", "--deg", "1"] in argvs
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().out == "", argv
 
 
 @pytest.mark.parametrize("command", ["ring", "envelope", "cleanmap", "complex"])

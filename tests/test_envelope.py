@@ -346,34 +346,6 @@ def test_monomials_of_degree_match_reference(name):
                     assert got == want, (x, a, depth, depth_min)
 
 
-def test_degree_slices_share_one_enumeration(monkeypatch):
-    calls = []
-
-    def counting(weights, budget):
-        calls.append((tuple(weights), budget))
-        return bounded_vectors(weights, budget)
-
-    monkeypatch.setattr(envelope, "bounded_vectors", counting)
-    ring = make_ring("tetrahedron_boundary")
-    for x in ring.poset.elements:
-        env = Envelope.of(ring, x)
-        calls.clear()
-        for a in product(range(3), repeat=ring.natoms):
-            env.monomials_of_degree(a, 3)
-            env.monomials_of_degree(a, 3, depth_min=1)
-        assert len(calls) == 1, x
-
-
-def test_box_and_slice_share_full_inverse_vectors():
-    # at a top face the degree-zero slice may use every inverse position,
-    # and the box reads all of them by default: one cache entry serves both
-    ring = make_ring("solid_triangle")
-    env = Envelope(ring, "123")
-    list(env.monomial_box(1, 3))
-    env.monomials_of_degree((0, 0, 0), 3)
-    assert [key for key in env._invcache if key[0] == 3] == [(3, None)]
-
-
 def test_annihilator_p1(env_x, ring_p1):
     basis = env_x.annihilator_basis((1, 1), 3)
     assert len(basis) == 1

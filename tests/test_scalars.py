@@ -44,9 +44,10 @@ def test_field_from_name():
         field_from_name("R")
 
 
-@pytest.mark.parametrize("name", ["Fp", "QQ"])
+@pytest.mark.parametrize("name", ["Fp", "QQ", "F0", "F03", "F٣", "F３", "F²"])
 def test_field_names_have_no_alias(name):
-    # "Q" and "F<p>" are the only spellings of a field
+    # "Q" and "F<p>" are the only spellings of a field, with p in ASCII
+    # digits and no leading zero
     with pytest.raises(FieldError, match=f"unknown field {name!r}"):
         field_from_name(name)
 
